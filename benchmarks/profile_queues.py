@@ -11,8 +11,8 @@ process, not a fixture sandwich) with three modes::
 
     python benchmarks/profile_queues.py --profile native hold
         cProfile one (kind, mix) cell of the microbenchmark, sorted by
-        cumulative time.  For pure-python kinds this shows the sift and
-        bucket costs; for the compiled native backend the scheduler
+        cumulative time.  For the reference heap this shows the heapq
+        sift costs; for the compiled native backend the scheduler
         vanishes from the profile entirely — which is the point.
 
     python benchmarks/profile_queues.py --suite native

@@ -384,9 +384,9 @@ def _point_value(session, res, **extra) -> dict:
         "makespan": res.makespan,
         "events": session.sim.event_count,
     }
-    # hierarchical fabrics also report their routing cost (hop counts);
-    # single-star fabrics have no hop_stats, so legacy payloads (and
-    # cache entries) are unchanged
+    # busy-until fabrics (the aggregate star included) also report their
+    # routing cost (hop counts); only the full per-wire star has no
+    # hop_stats, so its payloads carry no "hops" block
     hop_stats = getattr(session.cluster.switch, "hop_stats", None)
     if hop_stats is not None:
         out["hops"] = hop_stats()
@@ -401,9 +401,13 @@ def _point_value(session, res, **extra) -> dict:
     return out
 
 
-@runner("sort-des", family="des")
-def _run_sort_des(p: dict) -> dict:
-    """One Fig. 8(b)-style DES point: integer sort on ``p`` nodes.
+def _run_des(p: dict, data, apps, network=None) -> dict:
+    """Run one DES point of an application on ``data``.
+
+    ``apps`` is the application's ``(baseline_fn, inic_fn)`` pair: the
+    host-TCP run ``baseline_fn(cluster, data)`` and the INIC run
+    ``inic_fn(cluster, manager, data)``, each returning
+    ``(output, result)``.
 
     With a ``faults`` block in the params the run goes through the
     fault-injection path: link/switch/ring/config faults are installed,
@@ -414,103 +418,23 @@ def _run_sort_des(p: dict) -> dict:
     visible in the result.  A transfer that exhausts its retry budget
     reports ``aborted`` with the deterministic abort-time makespan.
     """
-    import numpy as np
-
-    from ..apps.sort import baseline_sort, inic_sort
     from ..errors import ConfigurationError, TransferAborted
 
-    g = np.random.default_rng(p["seed"])
-    keys = g.integers(0, 2**32, size=p["e_init"], dtype=np.uint32)
-    card = _card(p.get("card"))
-    faults = _fault_spec(p)
-    if faults is None:
-        session = _point_session(p["p"], p, card=card)
-        if card is None:
-            _, res = baseline_sort(session.cluster, keys)
-        else:
-            _, res = inic_sort(session.cluster, session.manager, keys)
-        return _point_value(session, res)
-
-    retries = int(p.get("retries", 8))
-    if card is None:
-        session = _point_session(p["p"], p, faults=faults)
-        _, res = baseline_sort(session.cluster, keys)
-        return _point_value(
-            session, res, aborted=False, fallbacks=0,
-            faults=_robustness_counters(session.cluster),
-        )
-    session = _point_session(
-        p["p"], p, card=_recovery_card(card, retries), faults=faults
-    )
-    cluster = session.cluster
-    try:
-        _, res = inic_sort(cluster, session.manager, keys)
-    except ConfigurationError:
-        # Graceful degradation: the INIC bitstream would not load, so the
-        # job runs on the commodity host-TCP path instead.  The failed
-        # cluster's elapsed time (the paid-for load attempts) and events
-        # are charged on top of the baseline run.
-        fb = _point_session(p["p"], p, faults=_fallback_faults(faults))
-        _, res = baseline_sort(fb.cluster, keys)
-        out = {
-            "makespan": cluster.sim.now + res.makespan,
-            "events": cluster.sim.event_count + fb.sim.event_count,
-            "aborted": False,
-            "fallbacks": 1,
-            "faults": _merge_counters(
-                _robustness_counters(cluster), _robustness_counters(fb.cluster)
-            ),
-        }
-        if fb.telemetry_enabled:
-            out["metrics"] = fb.metrics()
-        return out
-    except TransferAborted:
-        out = {
-            "makespan": cluster.sim.now,
-            "events": cluster.sim.event_count,
-            "aborted": True,
-            "fallbacks": 0,
-            "faults": _robustness_counters(cluster),
-        }
-        if session.telemetry_enabled:
-            out["metrics"] = session.metrics()
-        return out
-    return _point_value(
-        session, res, aborted=False, fallbacks=0,
-        faults=_robustness_counters(cluster),
-    )
-
-
-@runner("fft-des", family="des")
-def _run_fft_des(p: dict) -> dict:
-    """One Fig. 8(a)-style DES point: 2D FFT on ``p`` nodes.
-
-    Supports the same optional ``faults``/``retries`` params as the sort
-    runner (see :func:`_run_sort_des`).
-    """
-    import numpy as np
-
-    from ..apps.fft import baseline_fft2d, inic_fft2d
-    from ..errors import ConfigurationError, TransferAborted
-
-    rows = p["rows"]
-    g = np.random.default_rng(p["seed"])
-    m = g.standard_normal((rows, rows)) + 1j * g.standard_normal((rows, rows))
-    network = _network(p["network"])
+    baseline_fn, inic_fn = apps
     card = _card(p.get("card"))
     faults = _fault_spec(p)
     if faults is None:
         session = _point_session(p["p"], p, card=card, network=network)
         if card is None:
-            _, res = baseline_fft2d(session.cluster, m)
+            _, res = baseline_fn(session.cluster, data)
         else:
-            _, res = inic_fft2d(session.cluster, session.manager, m)
+            _, res = inic_fn(session.cluster, session.manager, data)
         return _point_value(session, res)
 
     retries = int(p.get("retries", 8))
     if card is None:
         session = _point_session(p["p"], p, network=network, faults=faults)
-        _, res = baseline_fft2d(session.cluster, m)
+        _, res = baseline_fn(session.cluster, data)
         return _point_value(
             session, res, aborted=False, fallbacks=0,
             faults=_robustness_counters(session.cluster),
@@ -520,12 +444,16 @@ def _run_fft_des(p: dict) -> dict:
     )
     cluster = session.cluster
     try:
-        _, res = inic_fft2d(cluster, session.manager, m)
+        _, res = inic_fn(cluster, session.manager, data)
     except ConfigurationError:
+        # Graceful degradation: the INIC bitstream would not load, so the
+        # job runs on the commodity host-TCP path instead.  The failed
+        # cluster's elapsed time (the paid-for load attempts) and events
+        # are charged on top of the baseline run.
         fb = _point_session(
             p["p"], p, network=network, faults=_fallback_faults(faults)
         )
-        _, res = baseline_fft2d(fb.cluster, m)
+        _, res = baseline_fn(fb.cluster, data)
         out = {
             "makespan": cluster.sim.now + res.makespan,
             "events": cluster.sim.event_count + fb.sim.event_count,
@@ -552,6 +480,35 @@ def _run_fft_des(p: dict) -> dict:
     return _point_value(
         session, res, aborted=False, fallbacks=0,
         faults=_robustness_counters(cluster),
+    )
+
+
+@runner("sort-des", family="des")
+def _run_sort_des(p: dict) -> dict:
+    """One Fig. 8(b)-style DES point: integer sort on ``p`` nodes
+    (optional ``faults``/``retries`` params: see :func:`_run_des`)."""
+    import numpy as np
+
+    from ..apps.sort import baseline_sort, inic_sort
+
+    g = np.random.default_rng(p["seed"])
+    keys = g.integers(0, 2**32, size=p["e_init"], dtype=np.uint32)
+    return _run_des(p, keys, (baseline_sort, inic_sort))
+
+
+@runner("fft-des", family="des")
+def _run_fft_des(p: dict) -> dict:
+    """One Fig. 8(a)-style DES point: 2D FFT on ``p`` nodes
+    (optional ``faults``/``retries`` params: see :func:`_run_des`)."""
+    import numpy as np
+
+    from ..apps.fft import baseline_fft2d, inic_fft2d
+
+    rows = p["rows"]
+    g = np.random.default_rng(p["seed"])
+    m = g.standard_normal((rows, rows)) + 1j * g.standard_normal((rows, rows))
+    return _run_des(
+        p, m, (baseline_fft2d, inic_fft2d), network=_network(p["network"])
     )
 
 
@@ -851,7 +808,7 @@ def scale_points(
     32-128 nodes, TCP/GigE baseline vs prototype INIC, both on the
     aggregated fabric (``fabric: "aggregate"`` — per-port busy-until
     contention instead of per-wire objects; see
-    :class:`repro.net.fabric.AggregateFabric`) — then the hierarchical
+    :class:`repro.net.topology.StarTopology`) — then the hierarchical
     topology axis: the same workloads on a fat-tree up to 1024 nodes
     and on a 3D torus up to :data:`TORUS_MAX_P`
     (:mod:`repro.net.topology`).
@@ -1192,8 +1149,9 @@ def scheduler_kind() -> str:
 def scheduler_backend() -> dict[str, Any]:
     """The backend ``scheduler_kind()`` actually resolves to, probed live.
 
-    Distinguishes the compiled native extension from its pure-python
-    fallback — the perf report must record which one produced the walls.
+    Distinguishes the compiled native extension from the reference heap
+    standing in for it — the perf report must record which one produced
+    the walls.
     """
     from ..sim.sched import make_scheduler
 
@@ -1219,7 +1177,7 @@ def build_report(
             "wall_seconds": round(r.wall_seconds, 4),
             "cached": r.cached,
             # which event-queue backend produced this scenario's wall —
-            # "native" + compiled=False means the pure-python fallback ran
+            # "heap" + compiled=False means the reference heap ran
             "scheduler": backend["backend"],
             "compiled": backend["compiled"],
             # fabric topology comes from the spec (not the cached value),

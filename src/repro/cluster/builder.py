@@ -19,14 +19,13 @@ from ..hw.interrupts import CoalescePolicy
 from ..hw.memory import CacheLevel, MemoryHierarchy
 from ..hw.pci import pci_32_33
 from ..inic.card import CardSpec, IDEAL_INIC, INICCard
-from ..net.fabric import (
-    GIGABIT_ETHERNET,
-    AggregateFabric,
-    NetworkTechnology,
+from ..net.fabric import GIGABIT_ETHERNET, NetworkTechnology, build_star
+from ..net.topology import (
+    HierarchicalFabric,
     build_aggregate_star,
-    build_star,
+    build_fattree,
+    build_torus,
 )
-from ..net.topology import HierarchicalFabric, build_fattree, build_torus
 from ..net.nic import StandardNIC
 from ..net.switch import Switch
 from ..protocols.tcp import TCPConfig, TCPStack
@@ -184,7 +183,7 @@ class Cluster:
         spec: ClusterSpec,
         sim: Simulator,
         nodes: list[Node],
-        switch: Switch | AggregateFabric | HierarchicalFabric,
+        switch: Switch | HierarchicalFabric,
         trace: TraceRecorder,
         streams: RandomStreams,
         fault_plan: Optional[FaultPlan] = None,

@@ -14,15 +14,16 @@ Two fidelity levels share that contract:
     plus an output-queued :class:`~repro.net.switch.Switch`.  Every hop
     is its own object with its own timed callbacks.
 
-``build_aggregate_star``
-    The scale-out model (``Scale.large``, 32-128 nodes) — a single
-    :class:`AggregateFabric` that folds uplink serialization, the
-    forwarding decision, and per-output-port queueing into busy-until
-    arithmetic on two floats per port.  A frame costs exactly one timed
-    callback end to end instead of the full model's four, and no
-    per-station wire/port objects exist at all; contention and tail
-    drop are still modelled per port, so congestion curves keep their
-    shape (see docs/performance.md).
+:func:`~repro.net.topology.build_aggregate_star`
+    The scale-out model (``Scale.large``, 32-128 nodes) — a
+    :class:`~repro.net.topology.HierarchicalFabric` over the one-switch
+    :class:`~repro.net.topology.StarTopology`, which folds uplink
+    serialization, the forwarding decision, and per-output-port
+    queueing into busy-until arithmetic on two floats per port.  A
+    frame costs exactly one timed callback end to end instead of the
+    full model's four; contention and tail drop are still modelled per
+    port, so congestion curves keep their shape (see
+    docs/performance.md).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .addresses import MacAddress
 from .batching import BatchPolicy, WIRE_BATCH
 from .link import Wire
 from .packet import Frame
-from .switch import PortStats, Switch
+from .switch import Switch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults import FaultPlan
@@ -46,9 +47,7 @@ __all__ = [
     "NetworkTechnology",
     "FAST_ETHERNET",
     "GIGABIT_ETHERNET",
-    "AggregateFabric",
     "build_star",
-    "build_aggregate_star",
     "validate_stations",
 ]
 
@@ -104,59 +103,9 @@ class FrameDevice(Protocol):
         ...
 
 
-def build_star(
-    sim: Simulator,
-    stations: Sequence[tuple[MacAddress, FrameDevice]],
-    tech: NetworkTechnology = GIGABIT_ETHERNET,
-    batch: BatchPolicy = WIRE_BATCH,
-    name: str = "fabric",
-    faults: Optional["FaultPlan"] = None,
-) -> Switch:
-    """Wire ``stations`` to a new switch; returns the switch.
-
-    Each station gets a dedicated full-duplex link at ``tech.bandwidth``.
-    ``batch`` sets the switch's frame-train coalescing policy (pass
-    ``PER_FRAME`` for per-frame fidelity runs).  A ``faults`` plan
-    installs per-wire link-fault injectors (on matching wire names) and
-    applies forced switch-buffer pressure.
-    """
-    validate_stations(stations)
-
-    buffer_bytes = tech.switch_buffer_per_port
-    if faults is not None:
-        buffer_bytes = faults.switch_buffer(buffer_bytes)
-    switch = Switch(
-        sim,
-        n_ports=len(stations),
-        buffer_bytes_per_port=buffer_bytes,
-        forwarding_latency=tech.switch_latency,
-        batch=batch,
-        name=f"{name}.switch",
-    )
-    for port, (addr, device) in enumerate(stations):
-        uplink = Wire(
-            sim, tech.bandwidth, tech.propagation_delay, name=f"{name}.up{port}"
-        )
-        uplink.attach(switch.ingress_sink(port))
-        device.attach_wire(uplink)
-
-        downlink = Wire(
-            sim, tech.bandwidth, tech.propagation_delay, name=f"{name}.down{port}"
-        )
-        downlink.attach(device)
-        switch.attach_output(port, downlink)
-
-        switch.learn(addr, port)
-        if faults is not None:
-            for wire in (uplink, downlink):
-                wf = faults.wire_fault(wire.name)
-                if wf is not None:
-                    wire.install_fault(wf)
-    return switch
-
-
 class _AggregateUplink:
-    """Station-side TX handle of an :class:`AggregateFabric`.
+    """Station-side TX handle of a
+    :class:`~repro.net.topology.HierarchicalFabric`.
 
     Presents the slice of the :class:`~repro.net.link.Wire` surface the
     NIC/INIC datapaths actually use (``bandwidth``, ``send``,
@@ -219,387 +168,60 @@ class _AggregateUplink:
         return f"<AggregateUplink {self.name!r} port={self.port}>"
 
 
-class AggregateFabric:
-    """Whole-star contention model in O(ports) floats.
-
-    The full star spends four timed callbacks and three objects' worth
-    of state per frame (uplink wire, output port, downlink wire).  At
-    128 nodes that dominates the event budget without changing any
-    figure: the switch is non-blocking, so the only shared resources
-    are each station's uplink and each output port's drain rate.  This
-    model keeps exactly those two, as ``busy_until`` clocks:
-
-    * **uplink** — ``start = max(now, up.busy_until)``; the frame is on
-      the switch input ``tx_time`` later.
-    * **output port** — arrival is ``start + tx + propagation +
-      forwarding_latency``; the port drains FIFO at line rate, so
-      ``done = max(arrival, out_busy) + tx``.  The backlog *in bytes*
-      at arrival is ``(out_busy - arrival) * bandwidth``; a frame that
-      would stretch it past ``buffer_bytes_per_port`` is tail-dropped,
-      mirroring the full switch's byte-accounted FIFO.
-
-    Delivery is a single pooled ``call_after`` at ``done +
-    propagation``.  Frame trains arrive pre-coalesced by the sending
-    NIC's batch policy; the in-switch train merging of the full model
-    is deliberately absent (it exists to cut event count, and here a
-    frame already costs one event).
-
-    The statistics surface matches :class:`~repro.net.switch.Switch`
-    (``total_dropped``/``port_stats``/telemetry names), so runners and
-    instruments work unchanged on either fabric.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        n_ports: int,
-        bandwidth: float,
-        propagation_delay: float = 1e-6,
-        forwarding_latency: float = 4e-6,
-        buffer_bytes_per_port: float = 128 * 1024,
-        name: str = "fabric",
-    ):
-        if n_ports < 1:
-            raise NetworkError("aggregate fabric needs at least one port")
-        if bandwidth <= 0:
-            raise NetworkError(f"fabric bandwidth must be > 0, got {bandwidth}")
-        if buffer_bytes_per_port <= 0:
-            raise NetworkError("fabric buffers must be > 0 bytes")
-        self.sim = sim
-        self.name = name
-        self.n_ports = n_ports
-        self.bandwidth = float(bandwidth)
-        self.propagation_delay = float(propagation_delay)
-        self.forwarding_latency = float(forwarding_latency)
-        self.buffer_bytes_per_port = float(buffer_bytes_per_port)
-        self._uplinks: list[_AggregateUplink] = [
-            _AggregateUplink(self, p, f"{name}.up{p}") for p in range(n_ports)
-        ]
-        self._devices: list[Optional[FrameDevice]] = [None] * n_ports
-        self._out_busy = [0.0] * n_ports
-        self._stats = [PortStats() for _ in range(n_ports)]
-        #: forwarding table keyed on the raw address value — an int hash
-        #: per frame instead of a tuple-building ``MacAddress.__hash__``
-        self._table: dict[int, int] = {}
-        # -- component-failure state (empty unless a fault plan
-        # schedules uplink windows; the hot path pays a falsy check) ----
-        self._dead_uplinks: set[int] = set()
-        #: uplink windows awaiting the fabric's first frame (armed
-        #: lazily so schedules align with the workload, not with however
-        #: long setup — e.g. INIC bitstream configuration — took)
-        self._pending_components: list[tuple[int, float, float]] = []
-        self._frames_in = 0
-        self._uplink_drops = 0
-        self._uplink_drop_bytes = 0.0
-        self._component_transitions = 0
-        # -- bulk-admission fast path (repro.net.flowclock) -------------
-        #: when non-None, ``_deliver`` appends ``(port, frame,
-        #: deliver_at)`` here instead of scheduling — the flow clock
-        #: dispatches the whole train afterwards
-        self._collect: Optional[list] = None
-        #: per-destination-port delivery batchers, lazily created
-        self._train_batchers: dict = {}
-        #: True once a component-fault schedule is staged; bulk
-        #: admission then falls back to frame-level so seeded fault
-        #: schedules stay bit-identical
-        self._faults_armed = False
-        #: trains admitted via the vectorized fast path
-        self.trains_fast = 0
-
-    # -- wiring -----------------------------------------------------------------
-    def uplink(self, port: int) -> _AggregateUplink:
-        """The TX handle to hand to the station on ``port``."""
-        self._check_port(port)
-        return self._uplinks[port]
-
-    def attach_station(self, port: int, device: FrameDevice) -> None:
-        """Attach the frame-terminating device of ``port``."""
-        self._check_port(port)
-        if self._devices[port] is not None:
-            raise NetworkError(f"fabric port {port} already attached")
-        self._devices[port] = device
-
-    def learn(self, address: MacAddress, port: int) -> None:
-        """Install a static forwarding entry."""
-        self._check_port(port)
-        self._table[address.value] = port
-
-    def _check_port(self, port: int) -> None:
-        if not 0 <= port < self.n_ports:
-            raise NetworkError(f"port {port} out of range 0..{self.n_ports - 1}")
-
-    # -- component failures ------------------------------------------------------
-    def install_component_faults(self, plan: "FaultPlan") -> None:
-        """Validate and stage uplink fail/repair windows from ``plan``.
-
-        Window starts are **relative to the fabric's first frame** (see
-        :meth:`HierarchicalFabric.install_component_faults` for the
-        rationale); the schedule arms lazily when traffic begins.
-
-        The aggregate star folds the whole switch into per-port clocks,
-        so the only failable components at this fidelity are the station
-        uplinks (``up<P>``): during a window the port's entire uplink
-        capacity is gone and every transfer it would have carried is
-        dropped and counted.  ``kind="switch"`` components are rejected
-        loudly — a single-star switch failure is a whole-cluster outage,
-        not a reroute scenario; model it on a hierarchical fabric.
-        """
-        staged: list[tuple[int, float, float]] = []
-        for comp in plan.spec.components:
-            if comp.kind != "uplink":
-                raise NetworkError(
-                    f"aggregate star cannot fail switch component "
-                    f"{comp.component!r}: its single switch is every "
-                    f"station's only path (choose uplink components "
-                    f"up0..up{self.n_ports - 1}, or a fattree/torus "
-                    f"fabric for switch failures)"
-                )
-            if not (
-                comp.component.startswith("up")
-                and comp.component[2:].isdigit()
-                and int(comp.component[2:]) < self.n_ports
-            ):
-                raise NetworkError(
-                    f"unknown uplink component {comp.component!r} "
-                    f"(choose from up0..up{self.n_ports - 1})"
-                )
-            port = int(comp.component[2:])
-            staged.extend(
-                (port, start, duration) for start, duration in comp.windows
-            )
-        self._pending_components = staged
-        if staged:
-            self._faults_armed = True
-
-    def _arm_component_faults(self) -> None:
-        """First fabric traffic: schedule the staged windows relative to
-        now.  A window starting at exactly 0 fails synchronously, so the
-        arming frame itself already sees the outage."""
-        staged, self._pending_components = self._pending_components, []
-        sim = self.sim
-        for port, start, duration in staged:
-            if start <= 0:
-                self._uplink_down(port)
-            else:
-                sim.call_after(start, self._uplink_down, port)
-            sim.call_after(start + duration, self._uplink_up, port)
-
-    def _uplink_down(self, port: int) -> None:
-        self._dead_uplinks.add(port)
-        self._component_transitions += 1
-
-    def _uplink_up(self, port: int) -> None:
-        self._dead_uplinks.discard(port)
-        self._component_transitions += 1
-
-    def component_counters(self) -> dict:
-        """Uplink-failure accounting (JSON-safe; feeds sweep reports)."""
-        return {
-            "reroutes": 0,
-            "failover_drops": 0,
-            "failover_drop_bytes": 0.0,
-            "partition_drops": 0,
-            "partition_drop_bytes": 0.0,
-            "uplink_drops": self._uplink_drops,
-            "uplink_drop_bytes": float(self._uplink_drop_bytes),
-            "transitions": self._component_transitions,
-        }
-
-    def conservation_counters(self) -> dict:
-        """Frame-conservation ledger (see the hierarchical fabric's):
-        every frame that reached forwarding is delivered or tail-dropped."""
-        return {
-            "frames_in": self._frames_in,
-            "frames_delivered": self.total_forwarded(),
-            "frames_dropped": self.total_dropped(),
-            "partition_drops": 0,
-        }
-
-    # -- data path ---------------------------------------------------------------
-    def _send(self, uplink: _AggregateUplink, frame: Frame) -> float:
-        sim = self.sim
-        now = sim.now
-        if self._pending_components:
-            self._arm_component_faults()
-        if self._dead_uplinks and uplink.port in self._dead_uplinks:
-            # Whole-uplink capacity loss: the transfer vanishes at the
-            # NIC; recovery (if enabled) retries past the window.
-            self._uplink_drops += frame.frame_count
-            self._uplink_drop_bytes += frame.wire_size
-            return now
-        fault = uplink.fault
-        wire_size = frame.wire_size
-        tx_time = wire_size / self.bandwidth
-        if fault is not None:
-            # Same semantics as Wire.send: a dropped transfer vanishes
-            # before serialization; a corrupted one burns its uplink
-            # serialization time and is discarded unreceived.
-            verdict = fault.disposition(frame, now)
-            if verdict == "drop":
-                return now
-            if verdict == "corrupt":
-                start = now if now > uplink._busy_until else uplink._busy_until
-                uplink._busy_until = start + tx_time
-                uplink.busy_time += tx_time
-                return uplink._busy_until + self.propagation_delay
-        return self._admit(uplink, frame, now, tx_time)
-
-    def _admit(
-        self, uplink: _AggregateUplink, frame: Frame, now: float, tx_time: float
-    ) -> float:
-        """Fault-free admission at logical time ``now``.
-
-        The tail of :meth:`_send` with the clock reading parameterized:
-        the flow-clock fast path replays it per frame of a train at the
-        frame's send time, so bulk admission runs the exact float
-        recurrences of the frame-level path.
-        """
-        start = now if now > uplink._busy_until else uplink._busy_until
-        uplink._busy_until = start + tx_time
-        uplink.frames_sent += frame.frame_count
-        uplink.bytes_sent += frame.wire_size
-        uplink.busy_time += tx_time
-        arrival = start + tx_time + self.propagation_delay + self.forwarding_latency
-        dst = frame.dst
-        if dst.value == -1:  # broadcast
-            last = now
-            src_port = uplink.port
-            for port in range(self.n_ports):
-                if port != src_port and self._devices[port] is not None:
-                    last = self._deliver(port, frame.clone_for(dst), arrival, tx_time)
-            return last
-        port = self._table.get(dst.value)
-        if port is None:
-            raise NetworkError(f"no forwarding entry for {dst}")
-        return self._deliver(port, frame, arrival, tx_time)
-
-    def fastpath_ok(self) -> bool:
-        """True when bulk admission preserves identity fabric-wide.
-
-        Component fault windows perturb admission outcomes mid-train,
-        so a staged schedule pins every train to the frame-level path
-        (per-uplink wire injectors are checked per train instead).
-        """
-        return not self._faults_armed
-
-    def send_train(
-        self, uplink: _AggregateUplink, frames: Sequence[Frame], times: Sequence[float]
-    ) -> float:
-        from .flowclock import admit_train
-
-        return admit_train(self, uplink, frames, times)
-
-    def _deliver(self, port: int, frame: Frame, arrival: float, tx_time: float) -> float:
-        stats = self._stats[port]
-        busy = self._out_busy[port]
-        wire_size = frame.wire_size
-        self._frames_in += frame.frame_count
-        backlog = (busy - arrival) * self.bandwidth if busy > arrival else 0.0
-        queued = backlog + wire_size
-        if queued > self.buffer_bytes_per_port:
-            stats.frames_dropped += frame.frame_count
-            stats.bytes_dropped += wire_size
-            return self.sim.now
-        if queued > stats.max_queue_bytes:
-            stats.max_queue_bytes = queued
-        done = (busy if busy > arrival else arrival) + tx_time
-        self._out_busy[port] = done
-        stats.frames_forwarded += frame.frame_count
-        stats.bytes_forwarded += wire_size
-        deliver_at = done + self.propagation_delay
-        device = self._devices[port]
-        if device is None:
-            raise NetworkError(f"fabric port {port} has no station attached")
-        collect = self._collect
-        if collect is not None:
-            collect.append((port, frame, deliver_at))
-            return deliver_at
-        sim = self.sim
-        sim.call_after(deliver_at - sim.now, device.receive_frame, frame)
-        return deliver_at
-
-    # -- statistics ---------------------------------------------------------------
-    def register_telemetry(self, registry, prefix: str) -> None:
-        """Register fabric-wide and per-port instruments.
-
-        Uses the same naming scheme as the full switch so dashboards
-        and report code do not care which fabric a session ran on.
-        """
-        registry.counter(f"{prefix}.drops", self.total_dropped)
-        registry.counter(f"{prefix}.forwarded", self.total_forwarded)
-        for port, stats in enumerate(self._stats):
-            p = f"{prefix}.port{port}"
-            registry.counter(f"{p}.frames", lambda s=stats: s.frames_forwarded)
-            registry.counter(f"{p}.bytes", lambda s=stats: s.bytes_forwarded, unit="B")
-            registry.counter(f"{p}.drops", lambda s=stats: s.frames_dropped)
-            registry.counter(
-                f"{p}.dropped_bytes", lambda s=stats: s.bytes_dropped, unit="B"
-            )
-            registry.gauge(
-                f"{p}.max_queue_bytes", lambda s=stats: s.max_queue_bytes, unit="B"
-            )
-
-    def port_stats(self, port: int) -> PortStats:
-        self._check_port(port)
-        return self._stats[port]
-
-    def total_dropped(self) -> int:
-        return sum(s.frames_dropped for s in self._stats)
-
-    def total_dropped_bytes(self) -> float:
-        return sum(s.bytes_dropped for s in self._stats)
-
-    def total_forwarded(self) -> int:
-        return sum(s.frames_forwarded for s in self._stats)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<AggregateFabric {self.name!r} {self.n_ports} ports>"
-
-
-def build_aggregate_star(
+def build_star(
     sim: Simulator,
     stations: Sequence[tuple[MacAddress, FrameDevice]],
     tech: NetworkTechnology = GIGABIT_ETHERNET,
     batch: BatchPolicy = WIRE_BATCH,
     name: str = "fabric",
     faults: Optional["FaultPlan"] = None,
-) -> AggregateFabric:
-    """Wire ``stations`` to an :class:`AggregateFabric`.
+) -> Switch:
+    """Wire ``stations`` to a new switch; returns the switch.
 
-    Drop-in alternative to :func:`build_star` for scale-out runs.
-    ``batch`` is accepted for signature parity; in-fabric train merging
-    does not exist at this fidelity (see :class:`AggregateFabric`).
-
-    A ``faults`` plan installs per-uplink link-fault injectors (the
-    uplinks carry the same ``<name>.up<port>`` names as the full star's
-    wires, so a spec's ``wires`` pattern selects the same links) and
-    applies forced switch-buffer pressure.  At this fidelity there are
-    no downlink objects: a downlink fault in the full model and an
-    uplink fault here both cost the sender one lost transfer, so the
-    uplink stream is where all link faults are drawn.  Without a plan
-    the datapath is byte-for-byte the pre-fault one.
+    Each station gets a dedicated full-duplex link at ``tech.bandwidth``.
+    ``batch`` sets the switch's frame-train coalescing policy (pass
+    ``PER_FRAME`` for per-frame fidelity runs).  A ``faults`` plan
+    installs per-wire link-fault injectors (on matching wire names) and
+    applies forced switch-buffer pressure.
     """
     validate_stations(stations)
 
     buffer_bytes = tech.switch_buffer_per_port
     if faults is not None:
         buffer_bytes = faults.switch_buffer(buffer_bytes)
-    fabric = AggregateFabric(
+    switch = Switch(
         sim,
         n_ports=len(stations),
-        bandwidth=tech.bandwidth,
-        propagation_delay=tech.propagation_delay,
-        forwarding_latency=tech.switch_latency,
         buffer_bytes_per_port=buffer_bytes,
-        name=name,
+        forwarding_latency=tech.switch_latency,
+        batch=batch,
+        name=f"{name}.switch",
     )
     for port, (addr, device) in enumerate(stations):
-        uplink = fabric.uplink(port)
+        uplink = Wire(
+            sim, tech.bandwidth, tech.propagation_delay, name=f"{name}.up{port}"
+        )
+        uplink.attach(switch.ingress_sink(port))
         device.attach_wire(uplink)
-        fabric.attach_station(port, device)
-        fabric.learn(addr, port)
+
+        downlink = Wire(
+            sim, tech.bandwidth, tech.propagation_delay, name=f"{name}.down{port}"
+        )
+        downlink.attach(device)
+        switch.attach_output(port, downlink)
+
+        switch.learn(addr, port)
         if faults is not None:
-            wf = faults.wire_fault(uplink.name)
-            if wf is not None:
-                uplink.install_fault(wf)
-    return fabric
+            for wire in (uplink, downlink):
+                wf = faults.wire_fault(wire.name)
+                if wf is not None:
+                    wire.install_fault(wf)
+    return switch
+
+
+def __getattr__(name: str):
+    if name == "AggregateFabric":  # retired star class; see _RetiredStarNames
+        from .topology import _RetiredStarNames
+
+        return _RetiredStarNames
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

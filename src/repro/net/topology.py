@@ -1,16 +1,21 @@
-"""Hierarchical fabrics: fat-tree and 3D-torus topologies at O(ports) cost.
+"""Busy-until fabrics: the star, fat-tree and 3D torus at O(ports) cost.
 
-The single-star models (:func:`~repro.net.fabric.build_star`,
-:func:`~repro.net.fabric.build_aggregate_star`) stop at one switch.
-This module generalizes the :class:`~repro.net.fabric.AggregateFabric`
-trick — fold every contention point into a ``busy_until`` float clock —
-to *multi-hop* topologies: a frame's route is a short tuple of clock
-indices, each hop is a few float operations, and delivery is still a
-single pooled ``call_after``.  A 1024-node alltoall costs the same
-events per frame as the single star did.
+:class:`HierarchicalFabric` folds every contention point into a
+``busy_until`` float clock: a frame's route is a short tuple of clock
+indices, each hop is a few float operations, and delivery is a single
+pooled ``call_after``.  The full per-wire star
+(:func:`~repro.net.fabric.build_star`) spends four timed callbacks per
+frame; here a frame costs one end to end, and a 1024-node alltoall
+costs the same events per frame as an 8-node star.
 
 Topologies
 ----------
+:class:`StarTopology`
+    The prototype's single switch (Section 5), behind
+    ``fabric("aggregate")`` / :func:`build_aggregate_star`: every route
+    is the destination's egress port, so the only contention points are
+    each station's uplink and each output port's drain rate.
+
 :class:`FatTreeTopology`
     Two-level leaf/spine Clos.  Stations attach to leaves;
     ``ceil(leaf_ports / oversub)`` spines give an ``oversub``:1
@@ -28,7 +33,7 @@ Topologies
 Timing model (and where it approximates)
 ----------------------------------------
 The end-to-end *base* latency of every path is kept identical to the
-single star's: uplink serialization + one propagation + one forwarding
+full wire star's: uplink serialization + one propagation + one forwarding
 decision + one egress serialization + one propagation.  Intermediate
 hops are *contention-only*: crossing a busy inter-switch link waits for
 the link clock (FIFO, line-rate spacing) but an idle one is crossed for
@@ -37,8 +42,8 @@ lossless (credit-based link-level flow control, as on APEnet+'s torus
 links and InfiniBand-style Clos fabrics), so congestion there is
 queueing delay, never silent loss; only the final egress port keeps the
 star's Ethernet tail-drop semantics.
-That is deliberate: at low load a hierarchical fabric reproduces the
-single-star arrival times byte-for-byte (the A/B equivalence anchor,
+That is deliberate: at low load every topology reproduces the wire
+star's arrival times byte-for-byte (the A/B equivalence anchor,
 ``python -m repro.net.topology --ab``), and under load the extra
 contention points shape the curves.  Pass ``hop_latency`` to charge a
 per-intermediate-hop store-and-forward cost instead; doing so breaks
@@ -68,13 +73,61 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults import FaultPlan
 
 __all__ = [
+    "StarTopology",
     "FatTreeTopology",
     "TorusTopology",
     "HierarchicalFabric",
+    "build_aggregate_star",
     "build_fattree",
     "build_torus",
     "torus_dims",
 ]
+
+
+class StarTopology:
+    """One non-blocking switch: every route is ``(dst,)``.
+
+    Clocks ``0 .. n-1`` are the station egress ports, so a frame crosses
+    its uplink clock and one output-port clock — the whole star's
+    contention, with tail drop at the egress buffer.  The switch is
+    every station's only path, so it is not a failable component; only
+    station uplinks (``up<P>``) can fail.
+    """
+
+    kind = "star"
+    #: Ethernet star: the egress port tail-drops
+    lossless = False
+
+    def __init__(self, n_stations: int):
+        if n_stations < 1:
+            raise NetworkError("star needs at least one station")
+        self.n_stations = n_stations
+        self.n_clocks = n_stations
+
+    def route(self, src: int, dst: int) -> tuple[int, ...]:
+        return (dst,)
+
+    def route_key(self, src: int, dst: int) -> int:
+        """Route-cache key: a star route depends only on ``dst``."""
+        return dst
+
+    def failure_domain(self, component: str) -> tuple[int, tuple[int, ...]]:
+        raise NetworkError(
+            f"aggregate star cannot fail switch component {component!r}: "
+            f"its single switch is every station's only path (choose "
+            f"uplink components up0..up{self.n_stations - 1}, or a "
+            f"fattree/torus fabric for switch failures)"
+        )
+
+    def clock_name(self, clock: int) -> str:
+        return f"switch.down{clock}"
+
+    def switches(self) -> list[tuple[str, list[int]]]:
+        """None: the one switch's counters are the fabric-wide totals."""
+        return []
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<StarTopology {self.n_stations} stations>"
 
 
 class FatTreeTopology:
@@ -464,17 +517,24 @@ class TorusTopology:
 class HierarchicalFabric:
     """Multi-hop fabric over per-hop ``busy_until`` clocks.
 
-    The generalization of :class:`~repro.net.fabric.AggregateFabric`:
-    instead of one output-port clock per destination, a topology maps
-    each (src, dst) pair to a tuple of clock indices.  Intermediate
-    clocks charge contention only (see the module docstring); the final
-    clock behaves exactly like the star's output port — FIFO drain at
-    line rate, byte-accounted tail drop (unless the topology is
-    ``lossless``), delivery one propagation after serialization
-    completes, as a single pooled ``call_after``.
+    A topology maps each (src, dst) pair to a tuple of clock indices.
+    Each station's uplink is a clock of its own: ``start = max(now,
+    up.busy_until)``, and the frame reaches the first switch ``tx +
+    propagation + forwarding_latency`` later.  Intermediate clocks
+    charge contention only (see the module docstring); the final clock
+    is the destination's output port — FIFO drain at line rate, so
+    ``done = max(arrival, out_busy) + tx``, with byte-accounted tail
+    drop when the backlog ``(out_busy - arrival) * bandwidth`` plus the
+    frame would exceed the port buffer (unless the topology is
+    ``lossless``), and delivery one propagation after ``done``, as a
+    single pooled ``call_after``.  Frame trains arrive pre-coalesced by
+    the sending NIC's batch policy; the full switch's in-switch train
+    merging is absent (it exists to cut events, and here a frame
+    already costs one).
 
-    The statistics/telemetry surface is a superset of
-    :class:`~repro.net.fabric.AggregateFabric`'s: ``port_stats(i)``
+    The statistics surface matches :class:`~repro.net.switch.Switch`
+    (``total_dropped``/``port_stats``/telemetry names), so runners and
+    instruments work unchanged on every fabric: ``port_stats(i)``
     resolves to station ``i``'s egress clock, and per-switch counters
     aggregate each switch's clocks at snapshot time (pull-based — the
     hot path never touches them).
@@ -736,7 +796,9 @@ class HierarchicalFabric:
         wire_size = frame.wire_size
         tx_time = wire_size / self.bandwidth
         if fault is not None:
-            # Same semantics as Wire.send / AggregateFabric._send.
+            # Same semantics as Wire.send: a dropped transfer vanishes
+            # before serialization; a corrupted one burns its uplink
+            # serialization time and is discarded unreceived.
             verdict = fault.disposition(frame, now)
             if verdict == "drop":
                 return now
@@ -750,8 +812,13 @@ class HierarchicalFabric:
     def _admit(
         self, uplink: _AggregateUplink, frame: Frame, now: float, tx_time: float
     ) -> float:
-        """Fault-free admission at logical time ``now`` (see
-        :meth:`AggregateFabric._admit <repro.net.fabric.AggregateFabric._admit>`)."""
+        """Fault-free admission at logical time ``now``.
+
+        The tail of :meth:`_send` with the clock reading parameterized:
+        the flow-clock fast path replays it per frame of a train at the
+        frame's send time, so bulk admission runs the exact float
+        recurrences of the frame-level path.
+        """
         start = now if now > uplink._busy_until else uplink._busy_until
         uplink._busy_until = start + tx_time
         uplink.frames_sent += frame.frame_count
@@ -941,7 +1008,7 @@ class HierarchicalFabric:
 
     def total_forwarded(self) -> int:
         """Frames delivered to stations (egress-clock count, matching
-        the single-star fabrics; intermediate hops are not re-counted)."""
+        the wire star; intermediate hops are not re-counted)."""
         return sum(
             self._stats[c].frames_forwarded for c in set(self._egress_clock)
         )
@@ -959,7 +1026,7 @@ class HierarchicalFabric:
     def register_telemetry(self, registry, prefix: str) -> None:
         """Fabric-wide, per-station-port, and per-switch instruments.
 
-        Keeps the single-star naming for the shared surface
+        Keeps the wire star's naming for the shared surface
         (``<prefix>.forwarded`` / ``.drops`` / ``.port<i>.*``) and adds
         ``<prefix>.hops``, ``<prefix>.sw.<switch>.*`` aggregates.  All
         pull-based: registration costs nothing on the data path.
@@ -1004,6 +1071,24 @@ class HierarchicalFabric:
         )
 
 
+class _RetiredStarNames:
+    """What the retired name ``repro.net.fabric.AggregateFabric`` resolves to.
+
+    The one-switch star used to be a class of its own; it is now
+    :func:`build_aggregate_star`'s :class:`HierarchicalFabric` over
+    :class:`StarTopology`.  The benchmark's span tracer
+    (``perfbench/tracer.py``) still names the star's admission and
+    delivery ``AggregateFabric._admit`` / ``AggregateFabric._deliver``.
+    Both resolve here, to the methods that now do that work, on a class
+    no fabric is an instance of: the tracer wraps the live methods once,
+    through their ``HierarchicalFabric`` names, and its wrappers of
+    these two are never called.
+    """
+
+    _admit = HierarchicalFabric._admit
+    _deliver = HierarchicalFabric._route_deliver
+
+
 def _build_hierarchical(
     sim: Simulator,
     stations: Sequence[tuple[MacAddress, FrameDevice]],
@@ -1039,6 +1124,33 @@ def _build_hierarchical(
     return fabric
 
 
+def build_aggregate_star(
+    sim: Simulator,
+    stations: Sequence[tuple[MacAddress, FrameDevice]],
+    tech: NetworkTechnology = GIGABIT_ETHERNET,
+    batch: BatchPolicy = WIRE_BATCH,
+    name: str = "fabric",
+    faults: Optional["FaultPlan"] = None,
+) -> HierarchicalFabric:
+    """Wire ``stations`` to a one-switch :class:`StarTopology`.
+
+    The O(ports) alternative to :func:`~repro.net.fabric.build_star`
+    for scale-out runs.  ``batch`` is accepted for builder-signature
+    parity (no in-fabric train merging at this fidelity).
+
+    A ``faults`` plan installs per-uplink link-fault injectors (the
+    uplinks carry the same ``<name>.up<port>`` names as the full star's
+    wires, so a spec's ``wires`` pattern selects the same links) and
+    applies forced switch-buffer pressure.  There are no downlink
+    objects: a downlink fault in the full model and an uplink fault
+    here both cost the sender one lost transfer, so the uplink stream
+    is where all link faults are drawn.
+    """
+    return _build_hierarchical(
+        sim, stations, StarTopology(len(stations)), tech, name, faults, 0.0
+    )
+
+
 def build_fattree(
     sim: Simulator,
     stations: Sequence[tuple[MacAddress, FrameDevice]],
@@ -1055,7 +1167,7 @@ def build_fattree(
 
     ``batch`` is accepted for builder-signature parity (no in-fabric
     train merging at this fidelity).  ``faults`` installs per-uplink
-    injectors and buffer pressure, as on the aggregate star.
+    injectors and buffer pressure, as on the star.
     """
     topo = FatTreeTopology(
         len(stations), oversub=oversub, leaf_ports=leaf_ports, leaves=leaves
@@ -1107,10 +1219,8 @@ def _ab_arrivals(builder, n: int, frames: int, gap: float, **opts):
     serialization time), so no two transfers ever share an uplink, a
     link clock, or an egress port: every fabric must produce the
     *identical* float arrival times if its base path timing matches the
-    single star.  Returns ``[(dst, relative arrival), ...]``.
+    wire star's.  Returns ``([(dst, arrival), ...], fabric)``.
     """
-    from .fabric import build_aggregate_star  # noqa: F401  (alias target)
-
     sim = Simulator()
     stations = [_ProbeStation(sim) for _ in range(n)]
     addrs = [MacAddress(i) for i in range(n)]
@@ -1145,7 +1255,7 @@ def _ab_main(argv=None) -> int:
 
     ap = argparse.ArgumentParser(
         prog="python -m repro.net.topology",
-        description="A/B: hierarchical fabrics vs the single aggregate star",
+        description="A/B: busy-until fabrics vs the full per-wire star",
     )
     ap.add_argument("--ab", action="store_true", help="run the equivalence check")
     ap.add_argument("--n", type=int, default=64, help="stations (default 64)")
@@ -1155,13 +1265,14 @@ def _ab_main(argv=None) -> int:
     args = ap.parse_args(argv)
     if not args.ab:
         ap.error("nothing to do (pass --ab)")
-    from .fabric import build_aggregate_star
+    from .fabric import build_star
 
     n, frames = args.n, args.frames
     gap = 1e-3  # >> any serialization time at 1 Gb/s: guaranteed low load
-    reference, _ = _ab_arrivals(build_aggregate_star, n, frames, gap)
+    reference, _ = _ab_arrivals(build_star, n, frames, gap)
     failed = False
     for label, builder, opts in (
+        ("star", build_aggregate_star, {}),
         ("fattree", build_fattree, {}),
         ("fattree-oversub2", build_fattree, {"oversub": 2}),
         ("torus", build_torus, {}),
@@ -1169,13 +1280,14 @@ def _ab_main(argv=None) -> int:
         arrivals, fabric = _ab_arrivals(builder, n, frames, gap, **opts)
         hops = fabric.hop_stats()
         ok = arrivals == reference
-        multi = hops["max_hops"] > 1
+        # the one-switch star has only 1-hop routes by construction
+        multi = hops["max_hops"] > 1 or fabric.topology.kind == "star"
         status = "PASS" if ok and multi else "FAIL"
         failed = failed or status == "FAIL"
         print(
             f"[ab] {label:18s} {status}  n={n} frames={frames} "
             f"avg_hops={hops['avg_hops']:.2f} max_hops={hops['max_hops']}"
-            + ("" if ok else "  (arrival times diverge from star)")
+            + ("" if ok else "  (arrival times diverge from the wire star)")
             + ("" if multi else "  (no multi-hop paths exercised)")
         )
     print(f"[ab] low-load equivalence: {'FAIL' if failed else 'PASS'}")

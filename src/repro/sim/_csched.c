@@ -1,9 +1,9 @@
 /* Compiled scheduler backend for the DES kernel.
  *
  * NativeScheduler is a C binary heap honouring the same unique
- * ``(time, priority, seq)`` total order as every scheduler in
- * ``repro.sim.sched``, so its pop stream is identical to the reference
- * heap's (the A/B harness ``python -m repro.sim --ab`` pins this).
+ * ``(time, priority, seq)`` total order as the reference
+ * ``repro.sim.sched.HeapScheduler``, so its pop stream is identical to
+ * the reference heap's (the A/B harness ``python -m repro.sim --ab`` pins this).
  *
  * Entries keep the engine-visible shape — a 5-element Python list
  * ``[when, prio, seq, item, owner]`` — because the run loop mutates
@@ -279,10 +279,6 @@ sched_dealloc(NativeScheduler *self)
 static PyMethodDef sched_methods[] = {
     {"push", (PyCFunction)(void (*)(void))sched_push, METH_FASTCALL,
      "push(when, prio, seq, item) -> entry list [when, prio, seq, item, None]"},
-    {"push_timer", (PyCFunction)(void (*)(void))sched_push, METH_FASTCALL,
-     "Alias of push (one structure serves every population)."},
-    {"push_now", (PyCFunction)(void (*)(void))sched_push, METH_FASTCALL,
-     "Alias of push (one structure serves every population)."},
     {"cancel", (PyCFunction)sched_cancel, METH_O,
      "cancel(entry): O(1) tombstone (entry[3] = None)."},
     {"pop", (PyCFunction)sched_pop, METH_NOARGS,
@@ -325,7 +321,7 @@ PyInit__csched(void)
 {
     if (PyType_Ready(&NativeSchedulerType) < 0)
         return NULL;
-    /* Class-level constants mirroring the pure-python schedulers. */
+    /* Class-level constants: the backend kind and its compiled flag. */
     if (PyDict_SetItemString(NativeSchedulerType.tp_dict, "kind",
                              PyUnicode_FromString("native")) < 0)
         return NULL;

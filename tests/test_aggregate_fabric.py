@@ -1,12 +1,16 @@
 """Unit tests for the aggregated scale-out fabric.
 
 The aggregate fabric is the O(ports) busy-until model behind
-``ClusterSpec.fabric == "aggregate"``; these tests pin its timing
+``ClusterSpec.fabric == "aggregate"``: a :class:`HierarchicalFabric`
+over the one-switch :class:`StarTopology`.  These tests pin its timing
 against the full wire star, its tail-drop accounting, and its
 per-uplink fault injection.
 """
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import NetworkError
 from repro.faults import FaultSpec, FaultPlan, WireFault
@@ -14,10 +18,12 @@ from repro.net import (
     BROADCAST,
     Frame,
     GIGABIT_ETHERNET,
+    HierarchicalFabric,
     MacAddress,
+    StarTopology,
+    build_aggregate_star,
     build_star,
 )
-from repro.net.fabric import AggregateFabric, build_aggregate_star
 from repro.sim import Simulator
 
 
@@ -52,12 +58,15 @@ def test_unicast_timing_matches_wire_star():
     both fidelity levels."""
     arrivals = {}
     for builder in (build_star, build_aggregate_star):
-        sim, stations, addrs, _ = make_fabric(builder=builder)
+        sim, stations, addrs, fabric = make_fabric(builder=builder)
         stations[0].send(Frame(addrs[0], addrs[2], payload_bytes=1500, headers=40))
         sim.run()
         assert len(stations[2].got) == 1
         assert stations[1].got == []
         arrivals[builder.__name__] = stations[2].got[0][1]
+    assert isinstance(fabric, HierarchicalFabric)
+    assert fabric.topology.kind == "star"
+    assert fabric.hop_stats()["max_hops"] == 1
     assert arrivals["build_star"] == arrivals["build_aggregate_star"]
 
 
@@ -199,9 +208,9 @@ def test_builder_validates_stations():
     with pytest.raises(NetworkError, match="duplicate"):
         build_aggregate_star(sim, dup)
     with pytest.raises(NetworkError):
-        AggregateFabric(sim, n_ports=0, bandwidth=1e9)
+        StarTopology(0)
     with pytest.raises(NetworkError):
-        AggregateFabric(sim, n_ports=2, bandwidth=-1.0)
+        HierarchicalFabric(sim, StarTopology(2), bandwidth=-1.0)
 
 
 def test_unknown_destination_raises():
@@ -313,3 +322,40 @@ def test_train_length_mismatch_rejected():
     frame = Frame(addrs[0], addrs[1], payload_bytes=64)
     with pytest.raises(ValueError, match="train mismatch"):
         fabric.uplink(0).send_train([frame], [0.0, 1.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sends=st.lists(
+        st.tuples(
+            st.integers(0, 3),  # source station
+            st.integers(0, 4),  # destination station; 4 = broadcast
+            st.integers(0, 1500),  # payload bytes
+            st.floats(0.0, 2e-4),  # send time
+        ),
+        max_size=120,
+    ),
+    buffer_frames=st.integers(1, 8),
+)
+def test_star_conserves_frames_under_random_schedules(sends, buffer_frames):
+    """Any frame schedule, contended or not, with buffers from one frame
+    up: every frame that reached forwarding is delivered or dropped."""
+    sim = Simulator()
+    stations = [Station(sim) for _ in range(4)]
+    addrs = [MacAddress(i) for i in range(4)]
+    tech = dataclasses.replace(
+        GIGABIT_ETHERNET, switch_buffer_per_port=buffer_frames * 1538.0
+    )
+    fabric = build_aggregate_star(sim, list(zip(addrs, stations)), tech=tech)
+    for src, dst, size, at in sends:
+        to = BROADCAST if dst == 4 else addrs[dst]
+        frame = Frame(addrs[src], to, payload_bytes=size, headers=40)
+        sim.call_after(at, stations[src].send, frame)
+    sim.run()
+    ledger = fabric.conservation_counters()
+    assert ledger["frames_in"] == (
+        ledger["frames_delivered"]
+        + ledger["frames_dropped"]
+        + ledger["partition_drops"]
+    )
+    assert ledger["frames_delivered"] == sum(len(s.got) for s in stations)

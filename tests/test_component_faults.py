@@ -23,8 +23,7 @@ import pytest
 from repro.cluster.builder import Cluster, ClusterSpec
 from repro.errors import NetworkError
 from repro.faults import ComponentFaultSpec, FaultPlan, FaultSpec
-from repro.net import Frame, MacAddress
-from repro.net.fabric import build_aggregate_star
+from repro.net import Frame, MacAddress, build_aggregate_star
 from repro.net.topology import build_fattree, build_torus
 from repro.sim import Simulator
 

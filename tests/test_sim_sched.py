@@ -1,9 +1,9 @@
 """Scheduler-layer tests: exact-order equivalence and edge cases.
 
-Every scheduler honours the unique ``(time, priority, seq)`` total
-order; the randomized stress here drives each one through the same
-engine-shaped op script and demands the pop sequence match the
-reference heap exactly — that equivalence is what keeps the figure
+Both schedulers honour the unique ``(time, priority, seq)`` total
+order; the randomized stress here drives the native kind through the
+same engine-shaped op script as the reference heap and demands the pop
+sequence match exactly — that equivalence is what keeps the figure
 CSVs byte-identical under ``REPRO_SIM_SCHEDULER``.
 """
 
@@ -11,14 +11,11 @@ from random import Random
 
 import pytest
 
+import repro.sim.sched
 from repro.sim.engine import Simulator
 from repro.sim.sched import (
-    CalendarQueue,
-    CalendarScheduler,
     HeapScheduler,
-    PurePythonNativeScheduler,
     SCHEDULER_KINDS,
-    TimerWheel,
     make_scheduler,
     native_available,
 )
@@ -38,9 +35,9 @@ def _script(rng: Random, n: int) -> list[tuple]:
         if r < 0.30:
             ops.append(("push", rng.choice((1e-6, 1e-4, 1e-2)) * rng.random(), rng.randint(0, 1)))
         elif r < 0.60:
-            ops.append(("timer", rng.choice((1e-6, 1e-3, 1.0, 300.0)) * rng.random()))
+            ops.append(("push", rng.choice((1e-6, 1e-3, 1.0, 300.0)) * rng.random(), 1))
         elif r < 0.72:
-            ops.append(("now", rng.randint(0, 1)))
+            ops.append(("push", 0.0, rng.randint(0, 1)))
         elif r < 0.84:
             ops.append(("cancel", rng.randrange(1 << 30)))
         else:
@@ -74,12 +71,6 @@ def _drive(sched, script) -> list[tuple]:
         if op[0] == "push":
             handles[seq] = sched.push(now + op[1], op[2], seq, seq)
             seq += 1
-        elif op[0] == "timer":
-            handles[seq] = sched.push_timer(now + op[1], 1, seq, seq)
-            seq += 1
-        elif op[0] == "now":
-            handles[seq] = sched.push_now(now, op[1], seq, seq)
-            seq += 1
         elif op[0] == "cancel":
             if seq:
                 target = op[1] % seq
@@ -108,27 +99,28 @@ def test_randomized_stress_matches_heap(kind, seed):
 
 
 def test_simultaneous_events_across_bucket_boundaries():
-    """Equal times sitting exactly on bucket boundaries break ties by
-    (prio, seq), never by bucket index."""
-    ring = CalendarQueue()
-    seq = 0
-    entries = []
-    ring.push(8.0, 1, seq, seq)  # seeds width = 1.0
-    entries.append((8.0, 1, 0))
-    seq = 1
-    for day in range(0, 40, 4):  # spans several ring wraps (16 buckets)
-        t = float(day)  # exactly on a boundary: int(t/width) == day
-        for prio in (1, 0):
-            ring.push(t, prio, seq, seq)
-            entries.append((t, prio, seq))
-            seq += 1
-    got = []
-    while True:
-        e = ring.pop()
-        if e is None:
-            break
-        got.append((e[0], e[1], e[2]))
-    assert got == sorted(entries)
+    """Equal times (on integer boundaries, pushed out of time order)
+    break ties by (prio, seq), never by insertion order alone."""
+    for kind in SCHEDULER_KINDS:
+        sched = make_scheduler(kind)
+        seq = 0
+        entries = []
+        sched.push(8.0, 1, seq, seq)
+        entries.append((8.0, 1, 0))
+        seq = 1
+        for day in range(0, 40, 4):
+            t = float(day)
+            for prio in (1, 0):
+                sched.push(t, prio, seq, seq)
+                entries.append((t, prio, seq))
+                seq += 1
+        got = []
+        while True:
+            e = sched.pop()
+            if e is None:
+                break
+            got.append((e[0], e[1], e[2]))
+        assert got == sorted(entries), kind
 
 
 @pytest.mark.parametrize("kind", list(SCHEDULER_KINDS))
@@ -146,28 +138,6 @@ def test_timeout_cancelled_at_its_own_fire_time(kind):
     assert outcome == [True]
     assert fired == []
     assert sim.now == 1.0
-
-
-def test_calendar_resize_mid_run_preserves_order():
-    ring = CalendarQueue()
-    rng = Random(3)
-    entries = []
-    for seq in range(200):  # > 2 * MIN_BUCKETS forces doubling
-        t = rng.random()
-        ring.push(t, 1, seq, seq)
-        entries.append((t, 1, seq))
-    assert ring.resizes > 0
-    got = []
-    for _ in range(190):  # drain below a quarter: forces halving
-        e = ring.pop()
-        got.append((e[0], e[1], e[2]))
-    assert ring.resizes >= 2
-    while True:
-        e = ring.pop()
-        if e is None:
-            break
-        got.append((e[0], e[1], e[2]))
-    assert got == sorted(entries)
 
 
 @pytest.mark.parametrize("kind", list(SCHEDULER_KINDS))
@@ -195,52 +165,6 @@ def test_seq_counter_never_wraps_discipline(kind):
     assert next(sim._seq) == 0  # fresh count per simulator, never reset
 
 
-def test_wheel_cascade_and_far_rebuild():
-    wheel = TimerWheel()
-    rng = Random(9)
-    entries = []
-    seq = 0
-    wheel.push(1.0, 1, seq, seq)  # seeds w0 = 1/64
-    entries.append((1.0, 1, 0))
-    seq = 1
-    # Level-1/2 population (beyond the 256-tick level-0 horizon) plus a
-    # couple beyond level 3 entirely (the far list).
-    for t in [rng.random() * 1e4 for _ in range(300)] + [1e9, 2e9]:
-        wheel.push(t, 1, seq, seq)
-        entries.append((t, 1, seq))
-        seq += 1
-    got = []
-    while True:
-        e = wheel.pop()
-        if e is None:
-            break
-        got.append((e[0], e[1], e[2]))
-    assert got == sorted(entries)
-    assert wheel.cascades > 0
-    assert wheel.far_rebuilds >= 1
-
-
-def test_wheel_reseeds_when_width_degenerates():
-    """A width seeded by one long sleep must not leave every later
-    microsecond timer in a single heapified slot forever."""
-    wheel = TimerWheel()
-    wheel.push(64.0, 1, 0, 0)  # seeds w0 = 1.0 — far too coarse
-    assert wheel.pop()[2] == 0  # cursor now parked on slot 64, heapified
-    entries = []
-    for seq in range(1, 200):  # all clamp into the current slot
-        t = 64.0 + seq * 1e-4
-        wheel.push(t, 1, seq, seq)
-        entries.append((t, 1, seq))
-    assert wheel.reseeds >= 1  # degenerate width detected and rebuilt
-    got = []
-    while True:
-        e = wheel.pop()
-        if e is None:
-            break
-        got.append((e[0], e[1], e[2]))
-    assert got == sorted(entries)
-
-
 def test_cancel_callback_is_exact_and_stale_safe():
     sim = Simulator()
     calls = []
@@ -265,22 +189,22 @@ def test_env_override_selects_scheduler(monkeypatch):
 
 def test_scheduler_argument_beats_env_var(monkeypatch):
     """Explicit ``Simulator(scheduler=...)`` wins over the environment."""
-    monkeypatch.setenv("REPRO_SIM_SCHEDULER", "wheel")
+    monkeypatch.setenv("REPRO_SIM_SCHEDULER", "native")
     assert Simulator(scheduler="heap").scheduler_kind == "heap"
     # ...and the env var still governs unconfigured simulators.
-    assert Simulator().scheduler_kind == "wheel"
+    assert Simulator().scheduler_kind == "native"
 
 
 def test_unknown_scheduler_errors_name_source_and_kinds(monkeypatch):
-    """A typo'd kind fails fast, names where the kind came from, and
-    lists every valid kind (including native)."""
+    """A typo'd (or retired) kind fails fast, names where the kind came
+    from, and lists every valid kind."""
     monkeypatch.delenv("REPRO_SIM_SCHEDULER", raising=False)
-    with pytest.raises(ValueError) as exc_arg:
-        Simulator(scheduler="splay")
-    msg = str(exc_arg.value)
-    assert "splay" in msg and "Simulator(scheduler=...)" in msg
-    for kind in SCHEDULER_KINDS:
-        assert kind in msg
+    for bad in ("splay", "calendar", "ring", "wheel"):
+        with pytest.raises(ValueError) as exc_arg:
+            Simulator(scheduler=bad)
+        msg = str(exc_arg.value)
+        assert repr(bad) in msg and "Simulator(scheduler=...)" in msg
+        assert "(choose from native, heap)" in msg
 
     monkeypatch.setenv("REPRO_SIM_SCHEDULER", "splay")
     with pytest.raises(ValueError) as exc_env:
@@ -293,29 +217,52 @@ def test_unknown_scheduler_errors_name_source_and_kinds(monkeypatch):
 def test_native_kind_always_constructible(monkeypatch):
     """``native`` is a valid kind with or without the compiled extension;
     stats() says which implementation is live."""
-    sched = make_scheduler("native")
-    stats = sched.stats()
-    assert stats["kind"] == "native"
+    stats = make_scheduler("native").stats()
     assert stats["compiled"] is native_available()
+    assert stats["kind"] == ("native" if native_available() else "heap")
 
-    monkeypatch.setenv("REPRO_SIM_DISABLE_NATIVE", "1")
+    monkeypatch.setattr(repro.sim.sched, "_csched", None)
+    assert not native_available()
     forced = make_scheduler("native")
-    assert isinstance(forced, PurePythonNativeScheduler)
+    assert isinstance(forced, HeapScheduler)
     assert forced.stats()["compiled"] is False
-    assert forced.stats()["fallback"] == "calendar"
+    sim = Simulator(scheduler="native")
+    assert sim.scheduler_kind == "native"
+    assert sim.sched_stats()["compiled"] is False
 
 
-def test_native_fallback_pop_parity():
-    """The pure-python fallback is pop-for-pop identical to the compiled
-    backend (and to the reference heap) over the randomized stress mix —
-    so losing the compiler changes speed, never results."""
+def test_heap_stats_keys_match_compiled_heap():
+    """Both backends report the same stats keys, so readers such as the
+    benchmark's ``sched_peak`` never fall back to a default."""
+    heap = HeapScheduler()
+    entries = [heap.push(float(i), 1, i, i) for i in range(5)]
+    heap.cancel(entries[0])
+    heap.pop()
+    stats = heap.stats()
+    assert stats == {
+        "kind": "heap", "compiled": False, "live": 3, "cancels": 1,
+        "pending": 3, "peak": 5,
+    }
+    if not native_available():
+        pytest.skip("compiled scheduler extension not built")
+    from repro.sim._csched import NativeScheduler
+
+    assert set(NativeScheduler().stats()) == set(stats)
+
+
+def test_native_fallback_pop_parity(monkeypatch):
+    """With the extension missing, ``native`` serves the reference heap;
+    the compiled backend (when built) is pop-for-pop identical to it over
+    the randomized stress mix — so losing the compiler changes speed,
+    never results."""
     script = _script(Random(99), 3000)
     reference = _drive(HeapScheduler(), script)
-    assert _drive(PurePythonNativeScheduler(), script) == reference
     if native_available():
         from repro.sim._csched import NativeScheduler
 
         assert _drive(NativeScheduler(), script) == reference
+    monkeypatch.setattr(repro.sim.sched, "_csched", None)
+    assert _drive(make_scheduler("native"), script) == reference
 
 
 def test_small_cluster_identical_under_all_schedulers(monkeypatch):

@@ -3,9 +3,9 @@
 Pins the three contracts ``repro.net.topology`` makes:
 
 * **Low-load star equivalence** — with ``hop_latency=0`` an uncontended
-  frame arrives at the identical simulated time on the single aggregate
-  star, the fat-tree, and the torus (the A/B anchor the CI runs via
-  ``python -m repro.net.topology --ab``).
+  frame arrives at the identical simulated time on the full wire star,
+  the one-switch busy-until star, the fat-tree, and the torus (the A/B
+  anchor the CI runs via ``python -m repro.net.topology --ab``).
 * **Routing geometry** — deterministic spine selection, dimension-
   ordered torus routing with shortest-wrap at the boundaries.
 * **Edge cases across fabric kinds** — duplicate addresses, port
@@ -21,9 +21,9 @@ from repro.net import (
     Frame,
     GIGABIT_ETHERNET,
     MacAddress,
+    build_aggregate_star,
     build_star,
 )
-from repro.net.fabric import build_aggregate_star
 from repro.net.topology import (
     FatTreeTopology,
     TorusTopology,
@@ -69,16 +69,21 @@ def make_fabric(builder, n=8, **opts):
 
 def test_low_load_arrivals_match_single_star():
     """The harness the CI runs: scattered low-load traffic arrives at
-    byte-identical times on every fabric."""
-    ref, _ = _ab_arrivals(build_aggregate_star, n=24, frames=120, gap=1e-3)
+    byte-identical times on every busy-until fabric and on the full
+    per-wire star they are anchored to."""
+    ref, _ = _ab_arrivals(build_star, n=24, frames=120, gap=1e-3)
     for builder, opts in (
+        (build_aggregate_star, {}),
         (build_fattree, {}),
         (build_fattree, {"oversub": 2}),
         (build_torus, {}),
     ):
         got, fabric = _ab_arrivals(builder, n=24, frames=120, gap=1e-3, **opts)
         assert got == ref, f"{builder.__name__} {opts} diverged from star"
-        assert fabric.hop_stats()["max_hops"] > 1  # actually multi-hop
+        if fabric.topology.kind == "star":
+            assert fabric.hop_stats()["max_hops"] == 1
+        else:
+            assert fabric.hop_stats()["max_hops"] > 1  # actually multi-hop
 
 
 @pytest.mark.parametrize("builder", HIER_BUILDERS)
