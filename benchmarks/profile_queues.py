@@ -6,7 +6,7 @@ process, not a fixture sandwich) with three modes::
     python benchmarks/profile_queues.py
         Comparison table: every scheduler kind under the hold,
         cancel-churn, and sawtooth mixes, with speedups vs the
-        reference heap.  This is ``python -m repro.sim --bench`` data
+        reference heap.  This is ``python -m repro.sim`` data
         reshaped around the "which backend should I use?" question.
 
     python benchmarks/profile_queues.py --profile native hold

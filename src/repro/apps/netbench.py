@@ -15,9 +15,9 @@ Each microbenchmark exists twice: the original generator ("callback
 state machine") form and a coroutine twin (``*_proc``) authored through
 the process API of :mod:`repro.sim.process`.  The twins are
 **event-for-event identical** — same events, same makespans, same
-``(time, priority, seq)`` trace order — which ``python -m repro.sim
---ab-process`` pins across every scheduler kind, the same way ``--ab``
-pins scheduler identity.  They double as the porting example in
+``(time, priority, seq)`` trace order — which
+``tests/test_identities.py::test_coroutine_twin_matches_callback`` pins
+under every scheduler kind.  They double as the porting example in
 ``docs/processes.md``.
 """
 

@@ -51,13 +51,14 @@ one slice ahead of global time — whole-train admission would let one
 train's tail count as phantom backlog against another train's head and
 manufacture tail-drops the frame-level path never takes.  A single
 train's frames stay sequentially ordered across its slices, so where
-trains do not overlap (the A/B harness's staggered phase) equality is
+trains do not overlap (the identity test's staggered phase) equality is
 exact to the last bit; under overlap the residual skew is bounded by
 one slice, documented, measurable, and disabled by ``--no-fastpath``.
 
-Run ``python -m repro.net.flowclock --ab`` to replay the scale suite's
-exchange patterns frame-level vs bulk on every fabric and diff arrival
-floats and conservation ledgers exactly (a CI step).
+``tests/test_identities.py::test_bulk_admission_matches_frame_level``
+replays the scale suite's exchange pattern frame-level vs bulk on every
+fabric and diffs arrival floats, conservation ledgers and fault logs
+exactly.
 """
 
 from __future__ import annotations
@@ -256,182 +257,3 @@ def _admit_segment(fabric, uplink, frames, times, tx_times, start: int) -> None:
             times[end] - now,
             _admit_segment, fabric, uplink, frames, times, tx_times, end,
         )
-
-
-# ---------------------------------------------------------------------------
-# A/B equivalence harness (`python -m repro.net.flowclock --ab`)
-# ---------------------------------------------------------------------------
-class _TrainProbe:
-    """Frame device recording (dst-visible) arrivals, train-capable."""
-
-    def __init__(self, sim: Simulator, port: int):
-        self.sim = sim
-        self.port = port
-        self.wire = None
-        self.got: list[tuple[int, float, float]] = []
-
-    def attach_wire(self, wire) -> None:
-        self.wire = wire
-
-    def receive_frame(self, frame: Frame) -> None:
-        self.got.append((self.port, self.sim.now, frame.payload_bytes))
-
-    def receive_train(self, frames: Sequence[Frame], times: Sequence[float]) -> None:
-        # Record the exact per-frame arrival floats the batcher carried,
-        # not the (later) flush time — that is the identity under test.
-        for frame, t in zip(frames, times):
-            self.got.append((self.port, t, frame.payload_bytes))
-
-
-#: A/B time grid: dyadic constants, so ``base + i * intra`` round-trips
-#: exactly through the scheduler's relative-delay arithmetic (the send
-#: times are then bit-equal between the scheduled frame-level path and
-#: the logical times bulk admission replays)
-_AB_GAP = 2.0 ** -8     # ~3.9 ms between train starts: no overlap
-_AB_INTRA = 2.0 ** -18  # ~3.8 us intra-train spacing: uplink chain engaged
-
-
-def _exchange_trains(n: int, repeat: int = 2):
-    """The scale suite's exchange shape: every station sends a train
-    covering all peers ``repeat`` times (so destination egress clocks
-    see intra-train contention), then an 8-sender incast burst — all
-    trains admitted at one timestamp, grouped in train order on both
-    paths — that overfills one egress buffer, so the tail-drop ledger
-    is exercised inside trains.  Staggered trains never overlap — the
-    regime where bulk admission is exact.
-
-    Returns ``[(base_t, src, intra_gap, [(dst, size), ...]), ...]``.
-    """
-    trains = []
-    for src in range(n):
-        entries = []
-        for j in range(repeat * (n - 1)):
-            dst = (src + 1 + j % (n - 1)) % n
-            size = 64 + (src * 131 + j * 17) % 1400
-            entries.append((dst, size))
-        trains.append((src * _AB_GAP, src, _AB_INTRA, entries))
-    # Incast: 8 senders x 20 x 1400 B (~227 KB) at one egress port vs
-    # the 128 KB gigabit buffer; send times all equal the burst start.
-    # Senders ring the victim so some share its leaf on the fat-tree —
-    # remote incast serializes through one spine downlink and never
-    # overflows, but same-leaf senders hit the egress clock directly.
-    burst_at = n * _AB_GAP
-    victim = n // 2
-    for delta in range(-4, 5):
-        src = (victim + delta) % n
-        if src == victim or src == 0:
-            continue
-        trains.append((burst_at, src, 0.0, [(victim, 1400)] * 20))
-    return trains
-
-
-def _replay(builder, opts, n: int, bulk: bool, fault_spec=None):
-    """Run the exchange pattern one way; return (arrivals, ledger, fabric)."""
-    from ..net.addresses import MacAddress
-
-    sim = Simulator()
-    stations = [_TrainProbe(sim, p) for p in range(n)]
-    addrs = [MacAddress(i) for i in range(n)]
-    fabric = builder(sim, list(zip(addrs, stations)), **opts)
-    if fault_spec is not None:
-        fabric.uplink(0).install_fault(
-            _wire_fault(fault_spec, fabric.uplink(0).name)
-        )
-    for base_t, src, intra, entries in _exchange_trains(n):
-        wire = stations[src].wire
-
-        def fire(wire=wire, src=src, base_t=base_t, intra=intra, entries=entries):
-            frames = [
-                Frame(addrs[src], addrs[dst], payload_bytes=size, headers=8)
-                for dst, size in entries
-            ]
-            times = [base_t + i * intra for i in range(len(frames))]
-            if bulk:
-                wire.send_train(frames, times)
-            else:
-                # Mirror the fallback's scheduling exactly: immediate
-                # sends inline (train order), future ones per frame.
-                now = sim.now
-                for frame, t in zip(frames, times):
-                    if t <= now:
-                        wire.send(frame)
-                    else:
-                        sim.call_after(t - now, wire.send, frame)
-
-        sim.call_after(base_t, fire)
-    sim.run()
-    arrivals = sorted(got for st in stations for got in st.got)
-    return arrivals, fabric.conservation_counters(), fabric
-
-
-def _wire_fault(spec, name: str):
-    from ..faults import WireFault
-
-    return WireFault(spec, name)
-
-
-def _ab_main(argv=None) -> int:
-    import argparse
-
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.net.flowclock",
-        description="A/B: bulk flow-clock admission vs frame-level sends",
-    )
-    ap.add_argument("--ab", action="store_true", help="run the equivalence check")
-    ap.add_argument("--n", type=int, default=32, help="stations (default 32)")
-    args = ap.parse_args(argv)
-    if not args.ab:
-        ap.error("nothing to do (pass --ab)")
-    from ..faults import FaultSpec
-    from .topology import build_aggregate_star, build_fattree, build_torus
-
-    n = args.n
-    fault = FaultSpec(seed=7, loss_rate=0.25, corrupt_rate=0.1)
-    cases = [
-        ("aggregate", build_aggregate_star, {}, None),
-        ("fattree", build_fattree, {}, None),
-        ("fattree-oversub2", build_fattree, {"oversub": 2}, None),
-        ("torus", build_torus, {}, None),
-        ("aggregate-faulted", build_aggregate_star, {}, fault),
-    ]
-    failed = False
-    for label, builder, opts, fault_spec in cases:
-        ref, ref_ledger, ref_fabric = _replay(
-            builder, opts, n, bulk=False, fault_spec=fault_spec
-        )
-        got, ledger, fabric = _replay(
-            builder, opts, n, bulk=True, fault_spec=fault_spec
-        )
-        ok = got == ref and ledger == ref_ledger
-        events = (ref_fabric.sim.event_count, fabric.sim.event_count)
-        if fault_spec is None:
-            # The fast path must actually have run (and cut events).
-            mode_ok = fabric.trains_fast > 0 and events[1] < events[0]
-        else:
-            # Per-component disable: the faulted uplink's trains fall
-            # back (its injector's decision log must be bit-identical),
-            # every other sender still takes the fast path.
-            total = len(_exchange_trains(n))
-            mode_ok = (
-                0 < fabric.trains_fast < total
-                and fabric.uplink(0).fault.log == ref_fabric.uplink(0).fault.log
-            )
-        status = "PASS" if ok and mode_ok else "FAIL"
-        failed = failed or status == "FAIL"
-        dropped = ref_ledger["frames_dropped"]
-        print(
-            f"[ab] {label:18s} {status}  n={n} arrivals={len(ref)} "
-            f"dropped={dropped} events {events[0]} -> {events[1]}"
-            + ("" if ok else "  (arrivals or ledgers diverge)")
-            + (
-                ""
-                if mode_ok
-                else "  (fast path did not engage as expected)"
-            )
-        )
-    print(f"[ab] bulk-admission equivalence: {'FAIL' if failed else 'PASS'}")
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    raise SystemExit(_ab_main())

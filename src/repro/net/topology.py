@@ -43,11 +43,12 @@ links and InfiniBand-style Clos fabrics), so congestion there is
 queueing delay, never silent loss; only the final egress port keeps the
 star's Ethernet tail-drop semantics.
 That is deliberate: at low load every topology reproduces the wire
-star's arrival times byte-for-byte (the A/B equivalence anchor,
-``python -m repro.net.topology --ab``), and under load the extra
-contention points shape the curves.  Pass ``hop_latency`` to charge a
-per-intermediate-hop store-and-forward cost instead; doing so breaks
-star equivalence by construction and is off by default.
+star's arrival times byte-for-byte (the equivalence anchor,
+``tests/test_identities.py::test_low_load_arrivals_match_wire_star``),
+and under load the extra contention points shape the curves.  Pass
+``hop_latency`` to charge a per-intermediate-hop store-and-forward cost
+instead; doing so breaks star equivalence by construction and is off by
+default.
 """
 
 from __future__ import annotations
@@ -1192,107 +1193,3 @@ def build_torus(
     return _build_hierarchical(
         sim, stations, topo, tech, name, faults, hop_latency
     )
-
-
-# ---------------------------------------------------------------------------
-# A/B equivalence harness (`python -m repro.net.topology --ab`)
-# ---------------------------------------------------------------------------
-class _ProbeStation:
-    """Minimal frame device that records (frame uid, arrival time)."""
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self.wire = None
-        self.got: list[tuple[int, float]] = []
-
-    def attach_wire(self, wire) -> None:
-        self.wire = wire
-
-    def receive_frame(self, frame: Frame) -> None:
-        self.got.append((frame.uid, self.sim.now))
-
-
-def _ab_arrivals(builder, n: int, frames: int, gap: float, **opts):
-    """Drive a deterministic low-load pattern; return sorted arrivals.
-
-    Senders are scheduled ``gap`` apart (far above a frame's
-    serialization time), so no two transfers ever share an uplink, a
-    link clock, or an egress port: every fabric must produce the
-    *identical* float arrival times if its base path timing matches the
-    wire star's.  Returns ``([(dst, arrival), ...], fabric)``.
-    """
-    sim = Simulator()
-    stations = [_ProbeStation(sim) for _ in range(n)]
-    addrs = [MacAddress(i) for i in range(n)]
-    fabric = builder(sim, list(zip(addrs, stations)), **opts)
-    sent = []
-    for i in range(frames):
-        src = (i * 7) % n
-        dst = (i * 13 + 5) % n
-        if src == dst:
-            dst = (dst + 1) % n
-        size = 64 + (i * 191) % 1400
-        at = i * gap
-
-        def fire(src=src, dst=dst, size=size):
-            stations[src].wire.send(
-                Frame(addrs[src], addrs[dst], payload_bytes=size, headers=8)
-            )
-
-        sim.call_after(at, fire)
-        sent.append((at, dst))
-    sim.run()
-    arrivals = []
-    for dst, st in enumerate(stations):
-        for _uid, t in st.got:
-            arrivals.append((dst, t))
-    arrivals.sort()
-    return arrivals, fabric
-
-
-def _ab_main(argv=None) -> int:
-    import argparse
-
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.net.topology",
-        description="A/B: busy-until fabrics vs the full per-wire star",
-    )
-    ap.add_argument("--ab", action="store_true", help="run the equivalence check")
-    ap.add_argument("--n", type=int, default=64, help="stations (default 64)")
-    ap.add_argument(
-        "--frames", type=int, default=512, help="probe transfers (default 512)"
-    )
-    args = ap.parse_args(argv)
-    if not args.ab:
-        ap.error("nothing to do (pass --ab)")
-    from .fabric import build_star
-
-    n, frames = args.n, args.frames
-    gap = 1e-3  # >> any serialization time at 1 Gb/s: guaranteed low load
-    reference, _ = _ab_arrivals(build_star, n, frames, gap)
-    failed = False
-    for label, builder, opts in (
-        ("star", build_aggregate_star, {}),
-        ("fattree", build_fattree, {}),
-        ("fattree-oversub2", build_fattree, {"oversub": 2}),
-        ("torus", build_torus, {}),
-    ):
-        arrivals, fabric = _ab_arrivals(builder, n, frames, gap, **opts)
-        hops = fabric.hop_stats()
-        ok = arrivals == reference
-        # the one-switch star has only 1-hop routes by construction
-        multi = hops["max_hops"] > 1 or fabric.topology.kind == "star"
-        status = "PASS" if ok and multi else "FAIL"
-        failed = failed or status == "FAIL"
-        print(
-            f"[ab] {label:18s} {status}  n={n} frames={frames} "
-            f"avg_hops={hops['avg_hops']:.2f} max_hops={hops['max_hops']}"
-            + ("" if ok else "  (arrival times diverge from the wire star)")
-            + ("" if multi else "  (no multi-hop paths exercised)")
-        )
-    print(f"[ab] low-load equivalence: {'FAIL' if failed else 'PASS'}")
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    raise SystemExit(_ab_main())

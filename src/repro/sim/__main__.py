@@ -1,13 +1,12 @@
-"""Kernel diagnostics CLI: scheduler microbenchmark and A/B harnesses.
+"""Scheduler microbenchmark: raw push/cancel/pop timings per backend.
 
-Three modes::
+::
 
-    python -m repro.sim --bench          # raw scheduler micro-timings
-    python -m repro.sim --bench --json   # same, machine-readable
-    python -m repro.sim --ab             # heap-vs-native ordering diff
-    python -m repro.sim --ab-process     # callback-vs-coroutine scenario diff
+    python -m repro.sim                  # table of ops/sec per scheduler
+    python -m repro.sim --json           # same, machine-readable
+    python -m repro.sim --n 50000 --kinds native
 
-``--bench`` times the bare schedulers (no engine, no models) over three
+It times the bare schedulers (no engine, no models) over three
 operation mixes so a scheduler change can be judged in isolation:
 
 * ``hold``    — classic hold model: push N timed events, pop them all.
@@ -17,29 +16,13 @@ operation mixes so a scheduler change can be judged in isolation:
 * ``sawtooth`` — interleaved push/pop with monotone time, the shape the
   run loop actually produces.
 
-``--ab-process`` is the same proof for the coroutine process layer
-(:mod:`repro.sim.process`): each ported netbench scenario runs once in
-its original generator ("callback") form and once as its ``async`` twin
-— under both scheduler kinds, heap and native — and the ``(when, prio,
-seq, type)`` event streams plus results must match exactly.  An empty
-diff means authoring style is pure syntax: the process API adds zero
-events and perturbs nothing.
-
-``--ab`` executes the ci perf suite once on the reference heap
-scheduler and once on the challenger (default: the native backend) —
-with the engine's event trace sink installed — and diffs the
-challenger's ``(when, prio, seq, type)`` stream against the heap
-baseline.  An empty diff is the proof behind the byte-identical
-``results/fig*.csv`` guarantee; any divergence prints the first
-mismatching event and exits 1.  The PASS line names the backend that
-actually ran (``native/compiled`` when the extension served the run,
-``native/fallback`` when the reference heap stood in for it).
+Order identity between the backends is not checked here: that contract
+is ``tests/test_identities.py::test_scheduler_trace_matches_heap``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from random import Random
@@ -145,199 +128,28 @@ def run_bench(n: int, seed: int, kinds: tuple[str, ...], as_json: bool = False) 
     return 0
 
 
-def _run_suite(kind: str, scale_name: str):
-    """Run the perf suite under ``kind``; returns (trace, results)."""
-    from ..bench.harness import Scale
-    from ..bench.sweep import _RUNNERS, perf_points
-    from . import engine
-
-    saved = os.environ.get("REPRO_SIM_SCHEDULER")
-    sink: list = []
-    engine.set_trace_sink(sink)
-    os.environ["REPRO_SIM_SCHEDULER"] = kind
-    try:
-        results = {}
-        for spec in perf_points(Scale.by_name(scale_name)):
-            r = _RUNNERS[spec.kind](spec.params)
-            results[spec.name] = (r["events"], r["makespan"])
-    finally:
-        engine.set_trace_sink(None)
-        if saved is None:
-            os.environ.pop("REPRO_SIM_SCHEDULER", None)
-        else:
-            os.environ["REPRO_SIM_SCHEDULER"] = saved
-    return sink, results
-
-
-_AB_DEFAULT_KINDS = ("native",)
-
-
-def _backend_label(kind: str) -> str:
-    """Human label for the backend ``kind`` resolves to right now."""
-    stats = make_scheduler(kind).stats()
-    if kind == "native":
-        return "native/compiled" if stats.get("compiled") else "native/fallback"
-    return kind
-
-
-def run_ab(scale_name: str, kinds: tuple[str, ...] = _AB_DEFAULT_KINDS) -> int:
-    """Diff each challenger kind's event stream against the heap baseline."""
-    trace_a, res_a = _run_suite("heap", scale_name)
-    exit_code = 0
-    for kind in kinds:
-        if kind == "heap":
-            continue
-        label = _backend_label(kind)
-        trace_b, res_b = _run_suite(kind, scale_name)
-        ok = True
-        for name in res_a:
-            if res_a[name] != res_b.get(name):
-                print(f"FAIL {name}: heap {res_a[name]} != {label} {res_b.get(name)}")
-                ok = False
-        if len(trace_a) != len(trace_b):
-            print(
-                f"FAIL trace length: heap {len(trace_a)} != {label} {len(trace_b)}"
-            )
-            ok = False
-        for i, (a, b) in enumerate(zip(trace_a, trace_b)):
-            if a != b:
-                print(f"FAIL first divergence at event {i}: heap {a} != {label} {b}")
-                ok = False
-                break
-        if ok:
-            print(
-                f"PASS heap == {label}: {len(res_a)} scenarios, "
-                f"{len(trace_a)} events order-identical at scale {scale_name!r}"
-            )
-        else:
-            exit_code = 1
-    return exit_code
-
-
-def _run_scenario(fn, kind: str):
-    """Run one netbench scenario under ``kind``; returns (trace, result)."""
-    from . import engine
-
-    saved = os.environ.get("REPRO_SIM_SCHEDULER")
-    sink: list = []
-    engine.set_trace_sink(sink)
-    os.environ["REPRO_SIM_SCHEDULER"] = kind
-    try:
-        res = fn()
-    finally:
-        engine.set_trace_sink(None)
-        if saved is None:
-            os.environ.pop("REPRO_SIM_SCHEDULER", None)
-        else:
-            os.environ["REPRO_SIM_SCHEDULER"] = saved
-    return sink, (res.nbytes, res.repetitions, res.total_time)
-
-
-def run_ab_process(kinds: tuple[str, ...] = SCHEDULER_KINDS) -> int:
-    """Diff each ported coroutine scenario against its callback twin.
-
-    For every scheduler kind, every scenario pair must produce the
-    identical ``(when, prio, seq, type)`` stream and result; the
-    coroutine trace must also be identical across kinds (anchored to
-    the first kind's run).
-    """
-    from ..apps import netbench
-
-    pairs = (
-        ("tcp-pingpong", netbench.tcp_pingpong, netbench.tcp_pingpong_proc),
-        ("inic-pingpong", netbench.inic_pingpong, netbench.inic_pingpong_proc),
-        ("inic-stream", netbench.inic_stream, netbench.inic_stream_proc),
-    )
-    exit_code = 0
-    anchors: dict[str, list] = {}
-    for kind in kinds:
-        label = _backend_label(kind)
-        for name, callback_fn, proc_fn in pairs:
-            trace_a, res_a = _run_scenario(callback_fn, kind)
-            trace_b, res_b = _run_scenario(proc_fn, kind)
-            ok = True
-            if res_a != res_b:
-                print(f"FAIL {name} [{label}]: callback {res_a} != process {res_b}")
-                ok = False
-            if len(trace_a) != len(trace_b):
-                print(
-                    f"FAIL {name} [{label}] trace length: callback "
-                    f"{len(trace_a)} != process {len(trace_b)}"
-                )
-                ok = False
-            for i, (a, b) in enumerate(zip(trace_a, trace_b)):
-                if a != b:
-                    print(
-                        f"FAIL {name} [{label}] first divergence at event "
-                        f"{i}: callback {a} != process {b}"
-                    )
-                    ok = False
-                    break
-            anchor = anchors.setdefault(name, trace_b)
-            if ok and trace_b != anchor:
-                print(
-                    f"FAIL {name} [{label}]: process trace differs from "
-                    f"the {kinds[0]} run"
-                )
-                ok = False
-            if ok:
-                print(
-                    f"PASS {name} [{label}]: callback == process, "
-                    f"{len(trace_a)} events order-identical"
-                )
-            else:
-                exit_code = 1
-    return exit_code
-
-
 def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim", description=__doc__.splitlines()[0]
     )
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
-        "--bench", action="store_true",
-        help="microbenchmark the raw schedulers",
-    )
-    mode.add_argument(
-        "--ab", action="store_true",
-        help="diff heap-vs-challenger event order over the perf suite",
-    )
-    mode.add_argument(
-        "--ab-process", action="store_true",
-        help="diff callback-vs-coroutine event order over the ported "
-        "netbench scenarios (heap and native)",
-    )
     parser.add_argument(
         "--n", type=int, default=100_000,
-        help="(--bench) events per mix (default 100000)",
+        help="events per mix (default 100000)",
     )
     parser.add_argument("--seed", type=int, default=0x5EED)
     parser.add_argument(
-        "--kinds", nargs="+", default=None,
+        "--kinds", nargs="+", default=list(SCHEDULER_KINDS),
         choices=list(SCHEDULER_KINDS),
-        help="(--bench) schedulers to time (default: all); "
-        "(--ab) challengers to diff against heap (default: native)",
+        help="schedulers to time (default: all)",
     )
     parser.add_argument(
         "--json", action="store_true",
-        help="(--bench) emit the report as JSON instead of a table",
-    )
-    parser.add_argument(
-        "--scale", default="ci", choices=["ci", "bench", "paper"],
-        help="(--ab) suite scale to diff (default ci)",
+        help="emit the report as JSON instead of a table",
     )
     args = parser.parse_args(argv)
-    if args.bench:
-        kinds = tuple(args.kinds) if args.kinds else SCHEDULER_KINDS
-        return run_bench(args.n, args.seed, kinds, as_json=args.json)
-    if args.ab_process:
-        kinds = tuple(args.kinds) if args.kinds else SCHEDULER_KINDS
-        return run_ab_process(kinds)
-    kinds = tuple(args.kinds) if args.kinds else _AB_DEFAULT_KINDS
-    return run_ab(args.scale, kinds)
+    return run_bench(args.n, args.seed, tuple(args.kinds), as_json=args.json)
 
 
 if __name__ == "__main__":

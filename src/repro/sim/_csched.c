@@ -3,7 +3,8 @@
  * NativeScheduler is a C binary heap honouring the same unique
  * ``(time, priority, seq)`` total order as the reference
  * ``repro.sim.sched.HeapScheduler``, so its pop stream is identical to
- * the reference heap's (the A/B harness ``python -m repro.sim --ab`` pins this).
+ * the reference heap's (pinned by
+ * ``tests/test_identities.py::test_scheduler_trace_matches_heap``).
  *
  * Entries keep the engine-visible shape — a 5-element Python list
  * ``[when, prio, seq, item, owner]`` — because the run loop mutates

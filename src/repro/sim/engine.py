@@ -28,7 +28,7 @@ Concepts
     exact same resume loop: an ``await``-authored process produces the
     identical ``(time, priority, seq)`` event stream as its
     ``yield``-authored twin (see :mod:`repro.sim.process` and
-    ``python -m repro.sim --ab-process``).
+    ``tests/test_identities.py::test_coroutine_twin_matches_callback``).
 
 ``AnyOf`` / ``AllOf``
     Composite conditions over several events.
@@ -95,10 +95,10 @@ _POOL_MAX = 1024
 #: either way (sched_stats()["compiled"] reports which ran).
 _DEFAULT_SCHEDULER = "native"
 
-#: module-level event-trace sink (A/B ordering harness).  When set, every
-#: Simulator constructed afterwards appends ``(when, prio, seq, type)``
-#: per dispatched event.  ``python -m repro.sim --ab`` uses this to diff
-#: the reference heap scheduler against the compiled one.
+#: module-level event-trace sink (ordering identity tests).  When set,
+#: every Simulator constructed afterwards appends ``(when, prio, seq,
+#: type)`` per dispatched event.  ``tests/test_identities.py`` uses this
+#: to diff the reference heap scheduler against the compiled one.
 _TRACE_SINK: Optional[list] = None
 
 

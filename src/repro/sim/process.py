@@ -40,8 +40,8 @@ recycles the engine's pooled :class:`~repro.sim.engine.Timeout` entries,
 trip), and the resume loop subscribes to pending events with the same
 ``(time, priority, seq)`` total order.  Rewriting a scenario from
 ``yield`` to ``await`` therefore changes **zero** events — a property
-pinned by ``python -m repro.sim --ab-process`` and the process-identity
-tests.  The rules that keep it that way:
+pinned by ``tests/test_identities.py::test_coroutine_twin_matches_callback``
+and the process-identity tests.  The rules that keep it that way:
 
 * create events in the same order in both styles (event creation, not
   suspension, consumes sequence numbers);

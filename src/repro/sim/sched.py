@@ -5,7 +5,7 @@ The simulator orders events by the unique key ``(time, priority, seq)``
 correct priority queue yields the exact same pop sequence.  That is the
 contract every scheduler here honours, which is what keeps
 ``results/fig*.csv`` byte-identical regardless of the scheduler chosen
-(pinned by the A/B harness in ``python -m repro.sim --ab``).
+(pinned by ``tests/test_identities.py::test_scheduler_trace_matches_heap``).
 
 The contract is five methods: ``push(when, prio, seq, item) -> entry``,
 ``cancel(entry)``, ``pop() -> entry | None``, ``peek_time()``, and

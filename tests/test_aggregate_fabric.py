@@ -24,6 +24,7 @@ from repro.net import (
     build_aggregate_star,
     build_star,
 )
+from repro.net.topology import build_fattree, build_torus
 from repro.sim import Simulator
 
 
@@ -234,51 +235,6 @@ def test_telemetry_surface_matches_switch_naming():
     assert snap["switch.port1.bytes"] > 500
 
 
-# -- bulk flow-clock admission (repro.net.flowclock) ------------------------
-def test_bulk_train_admission_matches_frame_level():
-    """The exchange pattern replayed bulk vs frame-level: every arrival
-    float and the conservation ledger must be identical."""
-    from repro.net.flowclock import _replay
-
-    ref, ref_ledger, _ = _replay(build_aggregate_star, {}, 16, bulk=False)
-    got, ledger, fabric = _replay(build_aggregate_star, {}, 16, bulk=True)
-    assert got == ref
-    assert ledger == ref_ledger
-    assert fabric.trains_fast > 0
-
-
-def test_bulk_train_tail_drop_boundary_matches():
-    """The harness's incast burst overflows one egress buffer inside a
-    train; which frames survive (and the drop ledger) must not depend
-    on the admission path."""
-    from repro.net.flowclock import _replay
-
-    ref, ref_ledger, _ = _replay(build_aggregate_star, {}, 16, bulk=False)
-    got, ledger, _ = _replay(build_aggregate_star, {}, 16, bulk=True)
-    assert ref_ledger["frames_dropped"] > 0
-    assert ledger == ref_ledger
-    assert got == ref
-
-
-def test_bulk_train_faulted_uplink_falls_back_bit_identically():
-    """A per-uplink injector forces that uplink's trains frame-level;
-    its seeded decision log — and everyone's arrivals — stay
-    bit-identical, while other senders still bulk-admit."""
-    from repro.net.flowclock import _exchange_trains, _replay
-
-    spec = FaultSpec(seed=7, loss_rate=0.25, corrupt_rate=0.1)
-    ref, ref_ledger, ref_fab = _replay(
-        build_aggregate_star, {}, 16, bulk=False, fault_spec=spec
-    )
-    got, ledger, fab = _replay(
-        build_aggregate_star, {}, 16, bulk=True, fault_spec=spec
-    )
-    assert got == ref
-    assert ledger == ref_ledger
-    assert fab.uplink(0).fault.log == ref_fab.uplink(0).fault.log
-    assert 0 < fab.trains_fast < len(_exchange_trains(16))
-
-
 def test_component_arming_mid_train_degrades_remainder_exactly():
     """A component-fault window arming between admission slices sends
     the train's remainder frame-level; arrivals still match an
@@ -324,6 +280,14 @@ def test_train_length_mismatch_rejected():
         fabric.uplink(0).send_train([frame], [0.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "builder",
+    [
+        pytest.param(build_aggregate_star, id="aggregate"),
+        pytest.param(build_fattree, id="fattree"),
+        pytest.param(build_torus, id="torus"),
+    ],
+)
 @settings(max_examples=40, deadline=None)
 @given(
     sends=st.lists(
@@ -337,16 +301,18 @@ def test_train_length_mismatch_rejected():
     ),
     buffer_frames=st.integers(1, 8),
 )
-def test_star_conserves_frames_under_random_schedules(sends, buffer_frames):
+def test_star_conserves_frames_under_random_schedules(builder, sends, buffer_frames):
     """Any frame schedule, contended or not, with buffers from one frame
-    up: every frame that reached forwarding is delivered or dropped."""
+    up, on every busy-until fabric (four stations span two fat-tree
+    leaves and a 2x1x2 torus): every frame that reached forwarding is
+    delivered or dropped."""
     sim = Simulator()
     stations = [Station(sim) for _ in range(4)]
     addrs = [MacAddress(i) for i in range(4)]
     tech = dataclasses.replace(
         GIGABIT_ETHERNET, switch_buffer_per_port=buffer_frames * 1538.0
     )
-    fabric = build_aggregate_star(sim, list(zip(addrs, stations)), tech=tech)
+    fabric = builder(sim, list(zip(addrs, stations)), tech=tech)
     for src, dst, size, at in sends:
         to = BROADCAST if dst == 4 else addrs[dst]
         frame = Frame(addrs[src], to, payload_bytes=size, headers=40)

@@ -263,16 +263,3 @@ def test_native_fallback_pop_parity(monkeypatch):
         assert _drive(NativeScheduler(), script) == reference
     monkeypatch.setattr(repro.sim.sched, "_csched", None)
     assert _drive(make_scheduler("native"), script) == reference
-
-
-def test_small_cluster_identical_under_all_schedulers(monkeypatch):
-    """End-to-end A/B: a tiny sort run (timers, stores, bus transfers,
-    the switch) produces the identical schedule under every backend."""
-    from repro.bench.sweep import _RUNNERS
-
-    results = {}
-    for kind in SCHEDULER_KINDS:
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", kind)
-        r = _RUNNERS["sort-des"]({"e_init": 1 << 10, "p": 2, "seed": 2})
-        results[kind] = (r["events"], r["makespan"])
-    assert len(set(results.values())) == 1, results

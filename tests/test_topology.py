@@ -4,8 +4,9 @@ Pins the three contracts ``repro.net.topology`` makes:
 
 * **Low-load star equivalence** — with ``hop_latency=0`` an uncontended
   frame arrives at the identical simulated time on the full wire star,
-  the one-switch busy-until star, the fat-tree, and the torus (the A/B
-  anchor the CI runs via ``python -m repro.net.topology --ab``).
+  the one-switch busy-until star, the fat-tree, and the torus (the
+  scattered-traffic contract at n=64 is
+  ``tests/test_identities.py::test_low_load_arrivals_match_wire_star``).
 * **Routing geometry** — deterministic spine selection, dimension-
   ordered torus routing with shortest-wrap at the boundaries.
 * **Edge cases across fabric kinds** — duplicate addresses, port
@@ -27,7 +28,6 @@ from repro.net import (
 from repro.net.topology import (
     FatTreeTopology,
     TorusTopology,
-    _ab_arrivals,
     build_fattree,
     build_torus,
     torus_dims,
@@ -62,28 +62,6 @@ def make_fabric(builder, n=8, **opts):
     addrs = [MacAddress(i) for i in range(n)]
     fabric = builder(sim, list(zip(addrs, stations)), **opts)
     return sim, stations, addrs, fabric
-
-
-# -- low-load star equivalence (the A/B anchor) -----------------------------
-
-
-def test_low_load_arrivals_match_single_star():
-    """The harness the CI runs: scattered low-load traffic arrives at
-    byte-identical times on every busy-until fabric and on the full
-    per-wire star they are anchored to."""
-    ref, _ = _ab_arrivals(build_star, n=24, frames=120, gap=1e-3)
-    for builder, opts in (
-        (build_aggregate_star, {}),
-        (build_fattree, {}),
-        (build_fattree, {"oversub": 2}),
-        (build_torus, {}),
-    ):
-        got, fabric = _ab_arrivals(builder, n=24, frames=120, gap=1e-3, **opts)
-        assert got == ref, f"{builder.__name__} {opts} diverged from star"
-        if fabric.topology.kind == "star":
-            assert fabric.hop_stats()["max_hops"] == 1
-        else:
-            assert fabric.hop_stats()["max_hops"] > 1  # actually multi-hop
 
 
 @pytest.mark.parametrize("builder", HIER_BUILDERS)
@@ -442,22 +420,3 @@ def test_scale_by_name_error_names_choices():
     with pytest.raises(ApplicationError, match="bench, ci, large, paper"):
         Scale.by_name("huge")
     assert Scale.by_name("large").topologies == ("fattree", "torus")
-
-
-# -- bulk flow-clock admission (repro.net.flowclock) ------------------------
-@pytest.mark.parametrize(
-    "builder,opts",
-    [(build_fattree, {}), (build_fattree, {"oversub": 2}), (build_torus, {})],
-)
-def test_bulk_exchange_matches_frame_level(builder, opts):
-    """Bulk train admission through the hierarchical fabrics: arrival
-    floats, per-hop ledger, and drop accounting identical to the
-    frame-level path (the tail-drop boundary rides inside the
-    harness's incast burst on the fat-tree)."""
-    from repro.net.flowclock import _replay
-
-    ref, ref_ledger, _ = _replay(builder, opts, 16, bulk=False)
-    got, ledger, fabric = _replay(builder, opts, 16, bulk=True)
-    assert got == ref
-    assert ledger == ref_ledger
-    assert fabric.trains_fast > 0
