@@ -235,6 +235,32 @@ def test_telemetry_surface_matches_switch_naming():
     assert snap["switch.port1.bytes"] > 500
 
 
+# -- bulk flow-clock admission (repro.net.flowclock) ------------------------
+def test_bulk_train_admission_matches_frame_level():
+    """The exchange pattern replayed bulk vs frame-level: every arrival
+    float and the conservation ledger must be identical."""
+    from tests.test_identities import _exchange
+
+    ref, ref_ledger, _ = _exchange(build_aggregate_star, {}, bulk=False)
+    got, ledger, fabric = _exchange(build_aggregate_star, {}, bulk=True)
+    assert got == ref
+    assert ledger == ref_ledger
+    assert fabric.trains_fast > 0
+
+
+def test_bulk_train_tail_drop_boundary_matches():
+    """The exchange's incast burst overflows one egress buffer inside a
+    train; which frames survive (and the drop ledger) must not depend
+    on the admission path."""
+    from tests.test_identities import _exchange
+
+    ref, ref_ledger, _ = _exchange(build_aggregate_star, {}, bulk=False)
+    got, ledger, _ = _exchange(build_aggregate_star, {}, bulk=True)
+    assert ref_ledger["frames_dropped"] > 0
+    assert ledger == ref_ledger
+    assert got == ref
+
+
 def test_component_arming_mid_train_degrades_remainder_exactly():
     """A component-fault window arming between admission slices sends
     the train's remainder frame-level; arrivals still match an
