@@ -1,28 +1,20 @@
-"""Benchmark harness: figure definitions, scales, reporting, calibration."""
+"""Benchmark harness: figure definitions, scales, reporting, calibration.
+
+The figure and sweep CLIs are ``python -m repro.bench.figures`` and
+``python -m repro.bench.sweep``; they are not imported here, so running
+them as ``__main__`` never finds them already loaded.
+"""
 
 from .calibration import KernelRates, compare_des_vs_model, measure_kernel_rates
-from .figures import all_figures, fig4a, fig4b, fig5a, fig5b, fig8a, fig8b
 from .harness import Experiment, Scale, render_all, render_table
 from .report import ascii_plot, shape_summary, to_markdown
-from .sweep import PointResult, PointSpec, SweepEngine, SweepStats
 
 __all__ = [
     "Experiment",
     "KernelRates",
-    "PointResult",
-    "PointSpec",
     "Scale",
-    "SweepEngine",
-    "SweepStats",
-    "all_figures",
     "ascii_plot",
     "compare_des_vs_model",
-    "fig4a",
-    "fig4b",
-    "fig5a",
-    "fig5b",
-    "fig8a",
-    "fig8b",
     "measure_kernel_rates",
     "render_all",
     "render_table",

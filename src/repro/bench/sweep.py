@@ -20,11 +20,14 @@ throughput:
   :data:`ENGINE_VERSION`), so touching a model recomputes exactly the
   affected points and nothing else.
 
-The perf-regression suite (``--suite perf``) and the figure suite
-(:mod:`repro.bench.figures`) both route through this engine::
+The sweep CLI (perf, scale, faults and chaos suites) and the figure
+CLI (:mod:`repro.bench.figures`) both route through this engine::
 
     python -m repro.bench.sweep --suite perf --jobs 2 --check
     python -m repro.bench.figures --scale paper --jobs 8 --csv results
+
+``--check`` on the perf and scale suites is exact: every field of the
+committed reference's :func:`summary` must equal the run's.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from ..errors import ApplicationError
 
 __all__ = [
     "ENGINE_VERSION",
+    "RUN_FIELDS",
     "DEFAULT_CACHE_DIR",
     "PointSpec",
     "PointResult",
@@ -59,6 +63,8 @@ __all__ = [
     "scheduler_kind",
     "scheduler_backend",
     "build_report",
+    "summary",
+    "check_reference",
     "write_report",
     "main",
 ]
@@ -820,14 +826,14 @@ def scale_points(
     The FFT rows grow to ``p`` when the paper's 512-row matrix would
     leave nodes without a row partition (p=1024).
 
-    ``max_p`` trims the processor axis (the CI smoke job runs just
-    p=32) and ``fabrics`` selects fabric kinds (the CI matrix runs one
+    ``max_p`` trims the processor axis (the CI smoke job runs
+    p<=64) and ``fabrics`` selects fabric kinds (the CI matrix runs one
     kind per job) — neither changes any point's identity, so the full
     suite, the smoke job, and the matrix legs all share cache entries.
-    ``fastpath`` (the default; ``--no-fastpath`` clears it) opts the
-    INIC points into bulk flow-clock admission
-    (:mod:`repro.net.flowclock`) — it rides in the params, so fast-path
-    and frame-level runs occupy distinct cache entries.
+    ``fastpath`` (the default) opts the INIC points into bulk
+    flow-clock admission (:mod:`repro.net.flowclock`); ``False`` runs
+    them frame-level.  It rides in the params, so fast-path and
+    frame-level runs occupy distinct cache entries.
     """
     fabric_set = None if fabrics is None else set(fabrics)
 
@@ -1122,21 +1128,60 @@ def chaos_points(scale) -> list[PointSpec]:
     return specs
 
 
-def chaos_summary(doc: dict) -> dict:
-    """The wall-free canonical view of a chaos report: simulation output
-    only (events, makespans, outcome flags, robustness counters), no
-    wall clocks or cache state — two runs of the same campaign must
-    produce byte-identical summaries regardless of ``--jobs`` or host
-    load, and CI diffs them with ``cmp``."""
-    out = {"scale": doc["scale"], "scenarios": {}}
-    for name, entry in doc["scenarios"].items():
-        out["scenarios"][name] = {
-            k: entry[k]
-            for k in ("events", "makespan", "fabric", "aborted", "fallbacks",
-                      "faults", "hops")
-            if k in entry
-        }
-    return out
+#: report fields that describe how a run was made rather than what it
+#: simulated: host wall clock, cache state and scheduler backend
+RUN_FIELDS = frozenset(
+    {"wall_seconds", "events_per_sec", "cached", "wall_cached",
+     "scheduler", "compiled"}
+)
+
+
+def summary(doc: dict) -> dict:
+    """The simulation output of a report: every scenario field except
+    :data:`RUN_FIELDS`.  Two runs of one suite must produce
+    byte-identical summaries regardless of ``--jobs``, the cache, the
+    scheduler backend or host load; CI diffs them with ``cmp``, and
+    ``--check`` gates the perf and scale suites on them."""
+    return {
+        "scale": doc["scale"],
+        "scenarios": {
+            name: {k: v for k, v in entry.items() if k not in RUN_FIELDS}
+            for name, entry in doc["scenarios"].items()
+        },
+    }
+
+
+def check_reference(doc: dict, reference: dict) -> list[str]:
+    """The exact reference gate; returns failure lines (empty: pass).
+
+    Every field of ``summary(reference)`` must equal the run's, for every
+    reference scenario; a scenario or field the reference records but
+    the run lacks fails.  Fields the reference does not record
+    (``metrics`` under ``--telemetry``, ``hops`` on rows recorded before
+    the star reported them) are not compared.
+    """
+    if doc["scale"] != reference["scale"]:
+        return [
+            f"scale mismatch: ran {doc['scale']!r}, reference is "
+            f"{reference['scale']!r}"
+        ]
+    run = summary(doc)["scenarios"]
+    failures = []
+    for name, ref in summary(reference)["scenarios"].items():
+        cur = run.get(name)
+        if cur is None:
+            failures.append(f"{name}: scenario missing from the run")
+            continue
+        for key, want in ref.items():
+            if key not in cur:
+                failures.append(
+                    f"{name}: {key} missing from the run (reference {want!r})"
+                )
+            elif cur[key] != want:
+                failures.append(
+                    f"{name}: {key} is {cur[key]!r}, reference {want!r}"
+                )
+    return failures
 
 
 def scheduler_kind() -> str:
@@ -1188,9 +1233,8 @@ def build_report(
         }
         if r.cached:
             # The wall (and anything derived from it) was measured by
-            # whichever host populated the cache — tag it so `--check`
-            # style gates never read wall-derived fields off this row
-            # (see repro.bench.perf.WALL_DERIVED).
+            # whichever host populated the cache — tag it so no reader
+            # takes it for this machine's number.
             entry["wall_cached"] = True
         if "hops" in r.value:  # hierarchical fabrics: routing cost
             entry["hops"] = r.value["hops"]
@@ -1253,13 +1297,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument(
         "--suite", default="perf",
-        choices=["perf", "figures", "faults", "scale", "chaos"],
-        help="perf: the regression scenario suite; figures: every paper "
-        "panel; faults: seeded lossy/degraded scenarios with recovery; "
-        "scale: the 32-1024 node scale-out suite (aggregated star + "
-        "hierarchical fat-tree/torus fabrics); chaos: seeded "
-        "component-failure campaigns with reroute/failover and "
-        "liveness/conservation invariant checks",
+        choices=["perf", "faults", "scale", "chaos"],
+        help="perf: the regression scenario suite; faults: seeded "
+        "lossy/degraded scenarios with recovery; scale: the 32-1024 node "
+        "scale-out suite (aggregated star + hierarchical fat-tree/torus "
+        "fabrics); chaos: seeded component-failure campaigns with "
+        "reroute/failover and liveness/conservation invariant checks",
     )
     parser.add_argument(
         "--scale", default=None, choices=["ci", "bench", "paper", "large"],
@@ -1277,12 +1320,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="(scale suite) restrict to these fabric kinds (repeatable; "
         "default: all).  The CI matrix runs one kind per job; point "
         "identities are filter-independent so the legs share caches",
-    )
-    parser.add_argument(
-        "--no-fastpath", action="store_true",
-        help="(scale suite) run the INIC points frame-level instead of "
-        "with bulk flow-clock admission (repro.net.flowclock); the two "
-        "modes cache separately",
     )
     parser.add_argument(
         "--jobs", type=int, default=None,
@@ -1303,19 +1340,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--out", default="BENCH_perf.json")
     parser.add_argument(
         "--summary", default=None, metavar="PATH",
-        help="(chaos suite) also write the wall-free canonical summary "
-        "here — two runs of one campaign must match byte-for-byte, "
-        "whatever --jobs was (the CI chaos-smoke job cmp's them)",
-    )
-    parser.add_argument(
-        "--csv", default=None,
-        help="(figures suite) export per-figure CSVs to this directory",
+        help="also write the report's simulation output (no walls, cache "
+        "state or scheduler backend) here — two runs of one suite must "
+        "match byte-for-byte, whatever --jobs or the cache did",
     )
     parser.add_argument(
         "--telemetry", action="store_true",
-        help="(perf/faults suites) instrument every point; the flat "
-        "metrics snapshot rides into the report (instrumented points "
-        "hash separately, so un-instrumented caches stay valid)",
+        help="instrument every point; the flat metrics snapshot rides "
+        "into the report (instrumented points hash separately, so "
+        "un-instrumented caches stay valid)",
     )
     parser.add_argument(
         "--report", action="store_true",
@@ -1323,12 +1356,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="(perf suite) fail if event counts regress vs the reference",
+        help="perf/scale: fail unless every field the reference records "
+        "equals the run's exactly; faults/chaos: fail on a broken "
+        "recovery or campaign invariant",
     )
-    parser.add_argument("--tolerance", type=float, default=0.10)
     parser.add_argument(
         "--reference", default=None,
-        help="event-count reference (default: benchmarks/perf_reference.json, "
+        help="reference report (default: benchmarks/perf_reference.json, "
         "or benchmarks/scale_reference.json for --suite scale)",
     )
     parser.add_argument("--update-reference", action="store_true")
@@ -1351,189 +1385,161 @@ def main(argv: Optional[list[str]] = None) -> int:
         repeats=args.repeats,
     )
 
-    if args.suite == "figures":
-        from .figures import all_figures
-        from .harness import render_all
-
-        experiments = all_figures(scale, engine=engine)
-        print(render_all(experiments))
-        if args.csv:
-            from .export import export_all_csv
-
-            for path in export_all_csv(experiments, args.csv):
-                print(f"wrote {path}")
-        stats = engine.last_run  # all_figures runs one batched sweep
-        print(
-            f"sweep: {stats.unique} points, {stats.hits} cached, "
-            f"{stats.executed} executed, jobs={engine.jobs}, "
-            f"{stats.wall_seconds:.2f}s"
-        )
+    if args.suite == "faults":
+        points = fault_points(scale)
+    elif args.suite == "chaos":
+        points = chaos_points(scale)
+    elif args.suite == "scale":
+        points = scale_points(scale, max_p=args.max_p, fabrics=args.fabrics)
     else:
-        if args.suite == "faults":
-            points = fault_points(scale)
-        elif args.suite == "chaos":
-            points = chaos_points(scale)
-        elif args.suite == "scale":
-            points = scale_points(
-                scale,
-                max_p=args.max_p,
-                fabrics=args.fabrics,
-                fastpath=not args.no_fastpath,
+        points = perf_points(scale)
+    if args.telemetry or args.report:
+        points = [
+            PointSpec(s.kind, s.name, {**s.params, "telemetry": True})
+            for s in points
+        ]
+    results = engine.run(points)
+    doc = build_report(results, scale.name, engine)
+    write_report(doc, args.out)
+    if args.summary is not None:
+        write_report(summary(doc), args.summary)
+    for name, r in doc["scenarios"].items():
+        tag = "cached" if r["cached"] else f"{r['wall_seconds']:.3f}s"
+        extra = ""
+        if args.suite in ("faults", "chaos") and r["fabric"] != "wire":
+            extra += f" fabric={r['fabric']}"
+        if "faults" in r:
+            f = r["faults"]
+            extra += (
+                f" dropped={f['frames_dropped']}"
+                f" retx={f['retransmits']}"
+                f" fallbacks={r['fallbacks']}"
+                f" aborted={r['aborted']}"
             )
-        else:
-            points = perf_points(scale)
-        if args.telemetry or args.report:
-            points = [
-                PointSpec(s.kind, s.name, {**s.params, "telemetry": True})
-                for s in points
-            ]
-        results = engine.run(points)
-        doc = build_report(results, scale.name, engine)
-        write_report(doc, args.out)
-        if args.summary is not None:
-            write_report(chaos_summary(doc), args.summary)
-        for name, r in doc["scenarios"].items():
-            tag = "cached" if r["cached"] else f"{r['wall_seconds']:.3f}s"
-            extra = ""
-            if args.suite in ("faults", "chaos") and r["fabric"] != "wire":
-                extra += f" fabric={r['fabric']}"
-            if "faults" in r:
-                f = r["faults"]
+            comp = f.get("components")
+            if comp:
                 extra += (
-                    f" dropped={f['frames_dropped']}"
-                    f" retx={f['retransmits']}"
-                    f" fallbacks={r['fallbacks']}"
-                    f" aborted={r['aborted']}"
+                    f" reroutes={comp['reroutes']}"
+                    f" failover_drops={comp['failover_drops']}"
+                    f" partition_drops={comp['partition_drops']}"
+                    f" uplink_drops={comp['uplink_drops']}"
                 )
-                comp = f.get("components")
-                if comp:
-                    extra += (
-                        f" reroutes={comp['reroutes']}"
-                        f" failover_drops={comp['failover_drops']}"
-                        f" partition_drops={comp['partition_drops']}"
-                        f" uplink_drops={comp['uplink_drops']}"
-                    )
-            print(
-                f"{name:22s} events={r['events']:>8d} "
-                f"makespan={r['makespan']:.6f} wall={tag}{extra}"
-            )
         print(
-            f"{'TOTAL':16s} events={doc['total_events']:>8d} "
-            f"wall={doc['total_wall_seconds']:.3f}s "
-            f"(sweep {doc['sweep_wall_seconds']:.3f}s, jobs={doc['jobs']}) "
-            f"-> {args.out}"
+            f"{name:22s} events={r['events']:>8d} "
+            f"makespan={r['makespan']:.6f} wall={tag}{extra}"
         )
+    print(
+        f"{'TOTAL':16s} events={doc['total_events']:>8d} "
+        f"wall={doc['total_wall_seconds']:.3f}s "
+        f"(sweep {doc['sweep_wall_seconds']:.3f}s, jobs={doc['jobs']}) "
+        f"-> {args.out}"
+    )
 
-        if args.report:
-            from ..telemetry.report import render_outcomes, render_snapshot
+    if args.report:
+        from ..telemetry.report import render_outcomes, render_snapshot
 
-            for name, r in doc["scenarios"].items():
-                metrics = r.get("metrics")
-                if metrics:
+        for name, r in doc["scenarios"].items():
+            metrics = r.get("metrics")
+            if metrics:
+                print(f"\n== {name} ==")
+                print(render_snapshot(metrics))
+            if "faults" in r:
+                if not metrics:
                     print(f"\n== {name} ==")
-                    print(render_snapshot(metrics))
-                if "faults" in r:
-                    if not metrics:
-                        print(f"\n== {name} ==")
-                    print(render_outcomes(r))
+                print(render_outcomes(r))
 
-        if args.update_reference:
-            write_report(doc, args.reference)
-            print(f"reference updated: {args.reference}")
+    if args.update_reference:
+        write_report(doc, args.reference)
+        print(f"reference updated: {args.reference}")
 
-        if args.check and args.suite == "chaos":
-            from ..faults.campaign import check_invariants
+    if args.check and args.suite == "chaos":
+        from ..faults.campaign import check_invariants
 
-            violations = []
-            for name, r in doc["scenarios"].items():
-                violations.extend(check_invariants(name, r))
-            anchor = doc["scenarios"].get("chaos-sort-fattree-p256")
-            if anchor is not None:
-                comp = (anchor.get("faults") or {}).get("components") or {}
-                if not comp.get("reroutes"):
-                    violations.append(
-                        "chaos-sort-fattree-p256: spine campaign produced "
-                        "no reroutes (failover never engaged)"
-                    )
-            torus = doc["scenarios"].get("chaos-sort-torus-p64")
-            if torus is not None:
-                comp = (torus.get("faults") or {}).get("components") or {}
-                if not comp.get("reroutes"):
-                    violations.append(
-                        "chaos-sort-torus-p64: router failure produced no "
-                        "detours"
-                    )
-                if torus.get("aborted") or comp.get("partition_drops"):
-                    violations.append(
-                        "chaos-sort-torus-p64: a non-partitioned transfer "
-                        "aborted or was partition-dropped"
-                    )
-            print(
-                f"chaos campaign: {len(violations)} invariant violations "
-                f"across {len(doc['scenarios'])} scenarios"
-            )
-            if violations:
-                for msg in violations:
-                    print(f"FAIL {msg}")
-                return 1
-            print(f"PASS chaos suite: {len(doc['scenarios'])} scenarios")
-            return 0
-
-        if args.check and args.suite == "faults":
-            failures = []
-            fpga = doc["scenarios"].get("sort-faults-fpga")
-            if fpga is not None and fpga.get("fallbacks") != 1:
-                failures.append(
-                    "sort-faults-fpga: expected exactly one host-TCP fallback"
+        violations = []
+        for name, r in doc["scenarios"].items():
+            violations.extend(check_invariants(name, r))
+        anchor = doc["scenarios"].get("chaos-sort-fattree-p256")
+        if anchor is not None:
+            comp = (anchor.get("faults") or {}).get("components") or {}
+            if not comp.get("reroutes"):
+                violations.append(
+                    "chaos-sort-fattree-p256: spine campaign produced "
+                    "no reroutes (failover never engaged)"
                 )
-            for name, r in doc["scenarios"].items():
-                f = r.get("faults")
-                if (
-                    f
-                    and f["frames_dropped"] > 0
-                    and f["retransmits"] == 0
-                    and not r.get("aborted")
-                ):
-                    failures.append(
-                        f"{name}: frames were dropped but no recovery ran"
-                    )
-            if failures:
-                for msg in failures:
-                    print(f"FAIL {msg}")
-                return 1
-            print(f"PASS fault suite: {len(doc['scenarios'])} scenarios")
-            return 0
+        torus = doc["scenarios"].get("chaos-sort-torus-p64")
+        if torus is not None:
+            comp = (torus.get("faults") or {}).get("components") or {}
+            if not comp.get("reroutes"):
+                violations.append(
+                    "chaos-sort-torus-p64: router failure produced no "
+                    "detours"
+                )
+            if torus.get("aborted") or comp.get("partition_drops"):
+                violations.append(
+                    "chaos-sort-torus-p64: a non-partitioned transfer "
+                    "aborted or was partition-dropped"
+                )
+        print(
+            f"chaos campaign: {len(violations)} invariant violations "
+            f"across {len(doc['scenarios'])} scenarios"
+        )
+        if violations:
+            for msg in violations:
+                print(f"FAIL {msg}")
+            return 1
+        print(f"PASS chaos suite: {len(doc['scenarios'])} scenarios")
+        return 0
 
-        if args.check:
-            from .perf import compare
-
-            try:
-                with open(args.reference) as fh:
-                    reference = json.load(fh)
-            except FileNotFoundError:
-                print(f"no reference at {args.reference}; run --update-reference")
-                return 1
-            if args.suite == "scale" and (args.max_p is not None or args.fabrics):
-                # The smoke job trims the processor/fabric axes; gate only
-                # the points it actually selected (names are trim-stable).
-                selected = {s.name for s in points}
-                reference = {
-                    **reference,
-                    "scenarios": {
-                        k: v
-                        for k, v in reference["scenarios"].items()
-                        if k in selected
-                    },
-                }
-            failures = compare(doc, reference, args.tolerance)
-            if failures:
-                for f in failures:
-                    print(f"FAIL {f}")
-                return 1
-            print(
-                f"PASS all {len(reference['scenarios'])} scenarios within "
-                f"{args.tolerance * 100:.0f}% of reference event counts"
+    if args.check and args.suite == "faults":
+        failures = []
+        fpga = doc["scenarios"].get("sort-faults-fpga")
+        if fpga is not None and fpga.get("fallbacks") != 1:
+            failures.append(
+                "sort-faults-fpga: expected exactly one host-TCP fallback"
             )
+        for name, r in doc["scenarios"].items():
+            f = r.get("faults")
+            if (
+                f
+                and f["frames_dropped"] > 0
+                and f["retransmits"] == 0
+                and not r.get("aborted")
+            ):
+                failures.append(
+                    f"{name}: frames were dropped but no recovery ran"
+                )
+        if failures:
+            for msg in failures:
+                print(f"FAIL {msg}")
+            return 1
+        print(f"PASS fault suite: {len(doc['scenarios'])} scenarios")
+        return 0
+
+    if args.check:
+        try:
+            with open(args.reference) as fh:
+                reference = json.load(fh)
+        except FileNotFoundError:
+            print(f"no reference at {args.reference}; run --update-reference")
+            return 1
+        if args.suite == "scale" and (args.max_p is not None or args.fabrics):
+            # The smoke job trims the processor/fabric axes; gate only the
+            # points it actually selected (names are trim-stable).
+            reference = {
+                **reference,
+                "scenarios": {
+                    k: v for k, v in reference["scenarios"].items() if k in results
+                },
+            }
+        failures = check_reference(doc, reference)
+        if failures:
+            for msg in failures:
+                print(f"FAIL {msg}")
+            return 1
+        print(
+            f"PASS all {len(reference['scenarios'])} reference scenarios "
+            f"reproduced exactly"
+        )
 
     if args.assert_cache_hits is not None:
         rate = engine.last_run.hit_rate

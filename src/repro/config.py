@@ -1,16 +1,12 @@
-"""Config-normalization helpers: renamed kwargs + JSON round-trips.
+"""Config-normalization helpers: JSON round-trips.
 
 The protocol/fault configs (:class:`~repro.protocols.inicproto.INICProtoConfig`,
 :class:`~repro.protocols.raw.RawConfig`,
 :class:`~repro.net.batching.BatchPolicy`, :class:`~repro.faults.FaultSpec`)
 share field conventions — ``max_retries``, ``timeout``, ``seed`` — and a
 ``to_json``/``from_json`` round-trip.  This module provides the plumbing:
-
-* :func:`renamed_kwargs` — a class decorator that keeps old constructor
-  kwarg names working for one release, emitting ``DeprecationWarning``
-  (the repo's own callers treat that as an error, see pyproject.toml);
-* :func:`config_to_json` / :func:`config_from_json` — recursive
-  dataclass <-> plain-JSON-dict conversion with unknown-key rejection.
+:func:`config_to_json` / :func:`config_from_json` — recursive
+dataclass <-> plain-JSON-dict conversion with unknown-key rejection.
 
 :class:`~repro.errors.ConfigError` (re-exported here) roots the error
 family: domain-specific config errors such as
@@ -21,56 +17,17 @@ rejection is catchable uniformly.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Any, Type, TypeVar
 
 from .errors import ConfigError
 
 __all__ = [
     "ConfigError",
-    "renamed_kwargs",
     "config_to_json",
     "config_from_json",
 ]
 
 T = TypeVar("T")
-
-
-def renamed_kwargs(**old_to_new: str):
-    """Class decorator: accept deprecated constructor kwarg names.
-
-    ``@renamed_kwargs(nack_timeout="timeout")`` lets callers keep
-    passing ``nack_timeout=`` for one release; the value is forwarded to
-    ``timeout`` with a :class:`DeprecationWarning`.  Passing both names
-    raises ``TypeError``.  Works on frozen dataclasses — only
-    ``__init__`` is wrapped.
-    """
-
-    def decorate(cls):
-        original_init = cls.__init__
-
-        def __init__(self, *args, **kwargs):
-            for old, new in old_to_new.items():
-                if old in kwargs:
-                    if new in kwargs:
-                        raise TypeError(
-                            f"{cls.__name__}: got both {old!r} (deprecated) "
-                            f"and {new!r}"
-                        )
-                    warnings.warn(
-                        f"{cls.__name__}({old}=...) is deprecated; "
-                        f"use {new}=...",
-                        DeprecationWarning,
-                        stacklevel=2,
-                    )
-                    kwargs[new] = kwargs.pop(old)
-            original_init(self, *args, **kwargs)
-
-        __init__.__wrapped__ = original_init
-        cls.__init__ = __init__
-        return cls
-
-    return decorate
 
 
 def _encode(value: Any) -> Any:

@@ -53,7 +53,8 @@ manufacture tail-drops the frame-level path never takes.  A single
 train's frames stay sequentially ordered across its slices, so where
 trains do not overlap (the identity test's staggered phase) equality is
 exact to the last bit; under overlap the residual skew is bounded by
-one slice, documented, measurable, and disabled by ``--no-fastpath``.
+one slice, documented, measurable, and absent unless
+``ClusterSpec.fastpath`` is set.
 
 ``tests/test_identities.py::test_bulk_admission_matches_frame_level``
 replays the scale suite's exchange pattern frame-level vs bulk on every

@@ -28,11 +28,10 @@ The data movement itself is done by the INIC card
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..config import config_from_json, config_to_json, renamed_kwargs
+from ..config import config_from_json, config_to_json
 from ..errors import ProtocolError
 from ..net.addresses import MacAddress
 from ..net.batching import BatchPolicy, DEFAULT_BATCH
@@ -42,15 +41,13 @@ from ..sim.resources import Container
 __all__ = ["INICProtoConfig", "TransferPlan", "CreditGate"]
 
 
-@renamed_kwargs(nack_timeout="timeout")
 @dataclass(frozen=True)
 class INICProtoConfig:
     """Framing for the custom on-card protocol.
 
     Field naming follows the repo-wide convention (``max_retries`` /
     ``timeout`` / ``retry_backoff``, shared with
-    :class:`~repro.protocols.raw.RawConfig`); the pre-normalization
-    ``nack_timeout`` kwarg is still accepted with a deprecation warning.
+    :class:`~repro.protocols.raw.RawConfig`).
     """
 
     packet_size: int = 1024  # paper, Section 4.2
@@ -79,16 +76,6 @@ class INICProtoConfig:
             raise ProtocolError("max_retries must be >= 0")
         if self.timeout <= 0 or self.retry_backoff < 1.0:
             raise ProtocolError("invalid recovery timing parameters")
-
-    @property
-    def nack_timeout(self) -> float:
-        """Deprecated alias for :attr:`timeout`."""
-        warnings.warn(
-            "INICProtoConfig.nack_timeout is deprecated; use .timeout",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.timeout
 
     def to_json(self) -> dict:
         """JSON-safe dict (round-trips through :meth:`from_json`)."""

@@ -26,11 +26,10 @@ with :class:`~repro.errors.TransferAborted`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..config import config_from_json, config_to_json, renamed_kwargs
+from ..config import config_from_json, config_to_json
 from ..errors import ProtocolError, TransferAborted
 from ..hw.cpu import CPU
 from ..net.addresses import MacAddress
@@ -43,16 +42,13 @@ from .base import Mailbox, MessageView, choose_quantum, next_message_id
 __all__ = ["RawConfig", "RawEthernetStack"]
 
 
-@renamed_kwargs(retransmit_timeout="timeout")
 @dataclass(frozen=True)
 class RawConfig:
     """Tunables for the raw datagram stack.
 
     Field naming follows the repo-wide convention (``max_retries`` /
     ``timeout`` / ``retry_backoff``, shared with
-    :class:`~repro.protocols.inicproto.INICProtoConfig`); the
-    pre-normalization ``retransmit_timeout`` kwarg is still accepted
-    with a deprecation warning.
+    :class:`~repro.protocols.inicproto.INICProtoConfig`).
     """
 
     mtu: int = ETHERNET_MTU
@@ -82,16 +78,6 @@ class RawConfig:
             raise ProtocolError("invalid raw retransmit timing")
         if self.max_retries < 0:
             raise ProtocolError("max_retries must be >= 0")
-
-    @property
-    def retransmit_timeout(self) -> float:
-        """Deprecated alias for :attr:`timeout`."""
-        warnings.warn(
-            "RawConfig.retransmit_timeout is deprecated; use .timeout",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.timeout
 
     def to_json(self) -> dict:
         """JSON-safe dict (round-trips through :meth:`from_json`)."""

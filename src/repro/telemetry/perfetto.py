@@ -186,7 +186,7 @@ def validate_trace(doc: Any) -> list[str]:
 def phase_totals_from_trace(doc: dict[str, Any]) -> dict[str, float]:
     """Per-phase wall seconds (interval union) re-derived from the
     exported JSON — what a consumer of the trace file would compute,
-    compared against the run's own breakdown by the CI smoke check."""
+    compared against the run's own breakdown by the telemetry tests."""
     intervals: dict[str, list[tuple[float, float]]] = {}
     for ev in doc.get("traceEvents", []):
         if ev.get("ph") != "X" or ev.get("cat") != "phase":

@@ -5,8 +5,7 @@ Covers the builder's order-independence (and the matching
 surface (``Experiment().process`` / ``Session.spawn`` / ``Session.env``),
 the removal of the deprecated ``build_acc``/``build_beowulf`` wrappers,
 the repo-wide config naming normalization (``max_retries`` / ``timeout``
-/ ``seed``; old kwargs accepted with ``DeprecationWarning``), and the
-shared ``to_json``/``from_json`` round-trip convention.
+/ ``seed``), and the shared ``to_json``/``from_json`` round-trip convention.
 """
 
 import numpy as np
@@ -155,27 +154,6 @@ def test_session_spawn_generator_and_coroutine():
     assert p2.value == 30
     assert session.processes == {"gen": p1, "coro": p2}
     assert session.env.sim is session.sim
-
-
-# -- renamed config kwargs ---------------------------------------------------------
-def test_inicproto_nack_timeout_kwarg_deprecated():
-    with pytest.warns(DeprecationWarning, match="nack_timeout"):
-        cfg = INICProtoConfig(nack_timeout=0.01)
-    assert cfg.timeout == 0.01
-    with pytest.warns(DeprecationWarning, match="nack_timeout"):
-        assert cfg.nack_timeout == 0.01  # read alias warns too
-    with pytest.raises(TypeError):
-        INICProtoConfig(nack_timeout=0.01, timeout=0.02)
-
-
-def test_rawconfig_retransmit_timeout_kwarg_deprecated():
-    with pytest.warns(DeprecationWarning, match="retransmit_timeout"):
-        cfg = RawConfig(retransmit_timeout=0.25)
-    assert cfg.timeout == 0.25
-    with pytest.warns(DeprecationWarning, match="retransmit_timeout"):
-        assert cfg.retransmit_timeout == 0.25
-    with pytest.raises(TypeError):
-        RawConfig(retransmit_timeout=0.25, timeout=0.5)
 
 
 # -- shared to_json/from_json convention -------------------------------------------

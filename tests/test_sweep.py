@@ -1,6 +1,7 @@
 """Tests for the parallel sweep engine and its content-addressed cache."""
 
 import json
+import math
 import os
 
 import pytest
@@ -8,17 +9,20 @@ import pytest
 from repro.bench.export import export_csv
 from repro.bench.figures import fig8b
 from repro.bench.harness import Scale
-from repro.bench.perf import SCENARIOS, compare, run_suite
 from repro.bench.sweep import (
+    RUN_FIELDS,
     PointSpec,
     SweepEngine,
     SweepError,
     build_report,
     canonical_json,
+    check_reference,
     kind_salt,
+    main,
     perf_points,
     scale_points,
     scheduler_kind,
+    summary,
 )
 
 #: a DES scale small enough that a whole fig8b sweep runs in well under
@@ -36,6 +40,12 @@ def tiny_spec(seed: int = 2, p: int = 2, name: str = "pt") -> PointSpec:
     return PointSpec(
         "sort-des", name, {"e_init": 1 << 10, "p": p, "card": None, "seed": seed}
     )
+
+
+def perf_report() -> dict:
+    """The ci perf suite, serial and uncached, as the engine reports it."""
+    engine = SweepEngine(jobs=1, cache_dir=None)
+    return build_report(engine.run(perf_points(Scale.ci())), "ci", engine)
 
 
 # --- spec identity -------------------------------------------------------------------
@@ -82,6 +92,7 @@ def test_cache_hit_on_identical_spec(tmp_path):
     assert engine.last_run.executed == 0 and engine.last_run.hits == 1
     assert engine.last_run.hit_rate == 1.0
     assert r2.value == r1.value
+    assert r2.wall_seconds == r1.wall_seconds
 
     # the cache file is content-addressed by spec + salt
     key = tiny_spec().cache_key(kind_salt("sort-des"))
@@ -176,24 +187,31 @@ def test_parallel_warm_rerun_is_all_hits(tmp_path):
 
 # --- perf suite through the engine ----------------------------------------------------
 def test_perf_report_shape_and_reference_compat():
-    doc = run_suite("ci", repeats=1)
+    doc = perf_report()
     assert doc["scale"] == "ci"
-    assert sorted(doc["scenarios"]) == sorted(SCENARIOS)
+    assert list(doc["scenarios"]) == [s.name for s in perf_points(Scale.ci())]
     for entry in doc["scenarios"].values():
         assert entry["events"] > 0
         assert "makespan" in entry and "wall_seconds" in entry
     assert doc["total_events"] == sum(
         e["events"] for e in doc["scenarios"].values()
     )
-    # a run compares clean against itself, and detects regressions
-    assert compare(doc, doc, tolerance=0.10) == []
+    # the summary is the simulation output: no walls, cache or backend
+    for row in summary(doc)["scenarios"].values():
+        assert RUN_FIELDS.isdisjoint(row) and "events" in row
+    # a run gates clean against itself, and any difference fails
+    assert check_reference(doc, doc) == []
     worse = json.loads(json.dumps(doc))
     worse["scenarios"]["sort-gige-p2"]["events"] *= 2
-    assert compare(worse, doc, tolerance=0.10) != []  # grown events: regression
-    assert compare(doc, worse, tolerance=0.10) == []  # shrunk events: improvement
+    assert check_reference(worse, doc) != []  # grown events
+    assert check_reference(doc, worse) != []  # shrunk events fail too
+    # host walls and cache state are not simulation output
+    rerun = json.loads(json.dumps(doc))
+    rerun["scenarios"]["sort-gige-p2"].update(wall_seconds=9.0, cached=True)
+    assert check_reference(rerun, doc) == []
     # scenario disappearance is a failure
     del worse["scenarios"]["sort-gige-p4"]
-    assert any("missing" in f for f in compare(worse, doc, tolerance=0.10))
+    assert any("missing" in f for f in check_reference(worse, doc))
 
 
 def test_perf_report_against_committed_reference():
@@ -201,11 +219,38 @@ def test_perf_report_against_committed_reference():
     counts and makespans (the fidelity canary)."""
     with open(os.path.join("benchmarks", "perf_reference.json")) as fh:
         reference = json.load(fh)
-    doc = run_suite("ci", repeats=1)
-    for name, ref in reference["scenarios"].items():
-        cur = doc["scenarios"][name]
-        assert cur["events"] == ref["events"], name
-        assert cur["makespan"] == pytest.approx(ref["makespan"], rel=0, abs=0), name
+    assert check_reference(perf_report(), reference) == []
+
+
+def test_sweep_check_fails_on_any_reference_difference(tmp_path, capsys):
+    """``sweep --check`` exits 0 on the committed reference and 1 on a
+    copy moved by one ulp, one event, or a field the run lacks, naming
+    the scenario and field."""
+    with open(os.path.join("benchmarks", "perf_reference.json")) as fh:
+        committed = json.load(fh)
+
+    def check(reference: dict) -> tuple[int, str]:
+        path = tmp_path / "reference.json"
+        path.write_text(json.dumps(reference))
+        code = main([
+            "--suite", "perf", "--jobs", "1", "--no-cache", "--repeats", "1",
+            "--check", "--reference", str(path),
+            "--out", str(tmp_path / "BENCH_perf.json"),
+        ])
+        return code, capsys.readouterr().out
+
+    assert check(committed)[0] == 0
+    for scenario, field, edit in (
+        ("sort-inic-p4", "makespan", lambda v: math.nextafter(v, math.inf)),
+        ("sort-gige-p8", "events", lambda v: v - 1),
+        ("sort-inic-p8", "trains_fast", lambda v: 1),
+    ):
+        reference = json.loads(json.dumps(committed))
+        row = reference["scenarios"][scenario]
+        row[field] = edit(row.get(field))
+        code, out = check(reference)
+        assert code == 1, field
+        assert f"FAIL {scenario}: {field}" in out
 
 
 def test_build_report_counts_cache(tmp_path):
@@ -224,7 +269,7 @@ def test_report_records_scheduler_and_throughput(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_SCHEDULER", "heap")
     assert scheduler_kind() == "heap"
     monkeypatch.delenv("REPRO_SIM_SCHEDULER")
-    doc = run_suite("ci", repeats=1)
+    doc = perf_report()
     assert doc["scheduler"] == scheduler_kind()
     for entry in doc["scenarios"].values():
         if entry["wall_seconds"] > 0:

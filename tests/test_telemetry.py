@@ -170,6 +170,12 @@ def test_trace_export_validates_and_reproduces_decomposition(tmp_path):
     assert validate_trace(on_disk) == []
     assert len(on_disk["traceEvents"]) == len(doc["traceEvents"])
 
+    # every node's hardware timelines saw PCI, FPGA-config and IRQ work
+    metrics = session.metrics()
+    for rank in range(4):
+        for suffix in ("pci.busy_time", "inic.fpga.config_time", "irq.time"):
+            assert metrics[f"node{rank}.{suffix}"] > 0, (rank, suffix)
+
 
 def test_trace_export_is_byte_deterministic(tmp_path):
     blobs = []
