@@ -10,6 +10,7 @@ Athlon, 64 KiB L1 / 256 KiB L2, PC133 SDRAM, 32-bit/33 MHz PCI).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -46,6 +47,16 @@ _FABRIC_BUILDERS = {
     "fattree": build_fattree,
     "torus": build_torus,
 }
+
+#: builder parameters ``Cluster.build`` supplies itself; every other
+#: parameter of a hierarchical builder is a ``fabric_options`` name
+_BUILDER_ARGS = ("sim", "stations", "tech", "name", "faults")
+
+
+def _fabric_option_names(fabric: str) -> tuple[str, ...]:
+    """The topology options ``fabric``'s builder accepts, sorted."""
+    params = inspect.signature(_FABRIC_BUILDERS[fabric]).parameters
+    return tuple(sorted(p for p in params if p not in _BUILDER_ARGS))
 
 
 @dataclass(frozen=True)
@@ -133,6 +144,15 @@ class ClusterSpec:
                 f"fabric options ({names}) are only valid for hierarchical "
                 f"fabrics (fattree, torus), not fabric={self.fabric!r}"
             )
+        if opts:
+            valid = _fabric_option_names(self.fabric)
+            for key, _ in opts:
+                if key not in valid:
+                    raise ValueError(
+                        f"unknown fabric option {key!r} for "
+                        f"fabric={self.fabric!r} (choose from "
+                        f"{', '.join(valid)})"
+                    )
 
     # -- builders ----------------------------------------------------------
     # Every builder swaps exactly one field on an otherwise-unchanged

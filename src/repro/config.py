@@ -1,7 +1,6 @@
 """Config-normalization helpers: JSON round-trips.
 
 The protocol/fault configs (:class:`~repro.protocols.inicproto.INICProtoConfig`,
-:class:`~repro.protocols.raw.RawConfig`,
 :class:`~repro.net.batching.BatchPolicy`, :class:`~repro.faults.FaultSpec`)
 share field conventions — ``max_retries``, ``timeout``, ``seed`` — and a
 ``to_json``/``from_json`` round-trip.  This module provides the plumbing:

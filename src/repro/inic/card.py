@@ -551,67 +551,73 @@ class INICCard:
 
     def _egress_loop(self):
         """card memory -> (packetize) -> MAC -> wire, chunked."""
-        proto = self.spec.proto
         while True:
             chunk: _EgressChunk = yield self._egress_q.get()
-            op, block = chunk.op, chunk.block
+            op, block, size, last = chunk.op, chunk.block, chunk.size, chunk.last
             if block.dst == self.address:
                 # Self-addressed block: loops back inside the card
                 # (host->card->host), never touching the MAC.
-                self._track_mem(-chunk.size)
-                self._local_deliver(op, block, chunk)
-                continue
-            # Flow control: never exceed the per-destination window of
-            # unacknowledged bytes (broadcast is exempt — one stream per
-            # port, no incast).
-            if not block.dst.is_broadcast:
-                window = op.window_bytes or self.spec.flow_window
-                dst = block.dst.value
-                while self._outstanding.get(dst, 0.0) + chunk.size > window:
-                    wake = self.sim.event(name=f"{self.name}.credit")
-                    self._credit_wakeups[dst] = wake
-                    yield wake
-                self._outstanding[dst] = (
-                    self._outstanding.get(dst, 0.0) + chunk.size
-                )
-            yield self.net_tx.transfer(chunk.size)
-            self._track_mem(-chunk.size)
-            if self._wire_out is None:
-                raise OffloadError(f"{self.name}: egress with no wire attached")
-            n_packets = -(-chunk.size // proto.packet_size)
-            frame = Frame(
-                src=self.address,
-                dst=block.dst,
-                payload_bytes=chunk.size,
-                headers=proto.headers,
-                frame_count=n_packets,
-                kind="inic",
-                payload=block.data if chunk.last else None,
-                meta={"op": op.tag, "last": chunk.last, "total": block.nbytes},
-            )
-            self._wire_out.send(frame)
-            self.stats.frames_sent += n_packets
-            self.stats.bytes_egressed += chunk.size
-            if chunk.last and block is op.blocks[-1]:
+                self._track_mem(-size)
+                self._local_deliver(op, block, size, last)
+            else:
+                # Flow control: never exceed the per-destination window
+                # of unacknowledged bytes (broadcast is exempt — one
+                # stream per port, no incast).
+                if not block.dst.is_broadcast:
+                    window = op.window_bytes or self.spec.flow_window
+                    dst = block.dst.value
+                    while self._outstanding.get(dst, 0.0) + size > window:
+                        wake = self.sim.event(name=f"{self.name}.credit")
+                        self._credit_wakeups[dst] = wake
+                        yield wake
+                    self._outstanding[dst] = self._outstanding.get(dst, 0.0) + size
+                yield self.net_tx.transfer(size)
+                self._track_mem(-size)
+                if self._wire_out is None:
+                    raise OffloadError(f"{self.name}: egress with no wire attached")
+                frame = self._data_frame(op, block, size, last)
+                self._wire_out.send(frame)
+                self.stats.frames_sent += frame.frame_count
+                self.stats.bytes_egressed += size
+            if last and block is op.blocks[-1]:
                 op.sent.succeed(None)
 
-    def _local_deliver(self, op: ScatterOp, block: SendBlock, chunk) -> None:
-        gather = self._gathers.get(op.tag)
-        frame = Frame(
+    def _data_frame(
+        self,
+        op: ScatterOp,
+        block: SendBlock,
+        size: int,
+        last: bool,
+        nocredit: bool = False,
+    ) -> Frame:
+        """The data frame carrying one ``size``-byte chunk of ``block``.
+
+        Its ``meta`` is the receiver's contract: ``op`` is the gather
+        tag, ``last`` marks the chunk that carries the block's
+        functional payload, ``total`` is the block's size, and
+        ``nocredit`` (train mode) tells the receiver the sender elided
+        flow-control credits.
+        """
+        proto = self.spec.proto
+        meta = {"op": op.tag, "last": last, "total": block.nbytes}
+        if nocredit:
+            meta["nocredit"] = True
+        return Frame(
             src=self.address,
-            dst=self.address,
-            payload_bytes=chunk.size,
-            headers=0,
-            kind="inic-local",
-            payload=block.data if chunk.last else None,
-            meta={"op": op.tag, "last": chunk.last, "total": block.nbytes},
+            dst=block.dst,
+            payload_bytes=size,
+            headers=proto.headers,
+            frame_count=-(-size // proto.packet_size),
+            kind="inic",
+            payload=block.data if last else None,
+            meta=meta,
         )
-        if gather is None:
-            self._pending_rx.setdefault(op.tag, deque()).append(frame)
-        else:
-            self._account_rx(gather, frame)
-        if chunk.last and block is op.blocks[-1]:
-            op.sent.succeed(None)
+
+    def _local_deliver(
+        self, op: ScatterOp, block: SendBlock, size: int, last: bool
+    ) -> None:
+        """A self-addressed chunk lands in this card's own gather."""
+        self._hand_off(self._data_frame(op, block, size, last))
 
     # -- exchange-phase fast path (repro.net.flowclock) ---------------------------------
     def _fast_eligible(self, op: ScatterOp) -> bool:
@@ -647,32 +653,27 @@ class INICCard:
     def _run_scatter_fast(self, op: ScatterOp) -> None:
         """Whole-scatter datapath in closed form: zero events per chunk.
 
-        The slow path's per-chunk event cascade (ingest transfer,
-        datapath stall, egress-queue rendezvous, credit gate, egress
-        transfer) collapses onto the shared bus clock: chunks alternate
-        ingest/egress strictly, each egress starting no earlier than its
-        chunk's datapath-ready time.  The bus clock and statistics are
-        committed in bulk, the frame train is handed to the fabric's
-        flow clock in one call, and the operation completes with two
-        scheduled callbacks total (delivery of self-addressed blocks
-        adds one each).  Credits are elided (``nocredit``): eligibility
-        already guaranteed the window cannot overrun.
+        Each chunk takes the frame-level path's steps in their order —
+        ingest crossing of the shared bus, datapath stall, egress
+        crossing once the chunk is ready, :meth:`_data_frame` — with
+        the bus claimed through :meth:`FCFSBus.reserve` instead of
+        waited on.  Chunks alternate ingest/egress strictly, so the
+        egress queue rendezvous disappears; the frame train is handed
+        to the fabric's flow clock in one call, and the operation
+        completes with two scheduled callbacks total (self-addressed
+        chunks add one each).  Credits are elided (``nocredit``):
+        eligibility already guaranteed the window cannot overrun.
         """
         sim = self.sim
         now = sim.now
         bus = self.host_tx
-        proto = self.spec.proto
+        reserve = bus.reserve
+        data_frame = self._data_frame
+        track_mem = self._track_mem
         stats = self.stats
         window = op.window_bytes or self.spec.flow_window
         bw = bus.bandwidth
         ingest_rate = self.datapath_rate(bw)
-        arb = bus.arbitration_latency
-        busy = bus._busy_until
-        if now > busy:
-            busy = now
-        n_xfers = 0
-        bus_bytes = 0.0
-        busy_add = 0.0
         frames: list[Frame] = []
         times: list[float] = []
         local: list[tuple[float, SendBlock, int, bool]] = []
@@ -683,86 +684,33 @@ class INICCard:
             is_local = block.dst == addr
             n_sizes = len(sizes)
             for i, size in enumerate(sizes):
-                d_in = arb + size / bw
-                fin_i = busy + d_in
-                busy = fin_i
-                n_xfers += 1
-                bus_bytes += size
-                busy_add += d_in
+                _start, ready = reserve(size)
                 extra = size / ingest_rate - size / bw
-                ready = fin_i + extra if extra > 1e-12 else fin_i
+                if extra > 1e-12:
+                    ready += extra
                 stats.bytes_ingested += size
-                self._track_mem(size)
-                last_chunk = i == n_sizes - 1
+                track_mem(size)
+                last = i == n_sizes - 1
                 if is_local:
-                    self._track_mem(-size)
-                    local.append((ready, block, size, last_chunk))
+                    track_mem(-size)
+                    local.append((ready, block, size, last))
                     if ready > last_t:
                         last_t = ready
                     continue
-                d_out = arb + size / bw
-                start_e = busy if busy > ready else ready
-                fin_e = start_e + d_out
-                busy = fin_e
-                n_xfers += 1
-                bus_bytes += size
-                busy_add += d_out
-                self._track_mem(-size)
-                n_packets = -(-size // proto.packet_size)
-                frames.append(
-                    Frame(
-                        src=addr,
-                        dst=block.dst,
-                        payload_bytes=size,
-                        headers=proto.headers,
-                        frame_count=n_packets,
-                        kind="inic",
-                        payload=block.data if last_chunk else None,
-                        meta={
-                            "op": op.tag,
-                            "last": last_chunk,
-                            "total": block.nbytes,
-                            "nocredit": True,
-                        },
-                    )
-                )
-                times.append(fin_e)
-                stats.frames_sent += n_packets
+                _start, finish = reserve(size, not_before=ready)
+                track_mem(-size)
+                frame = data_frame(op, block, size, last, nocredit=True)
+                frames.append(frame)
+                times.append(finish)
+                stats.frames_sent += frame.frame_count
                 stats.bytes_egressed += size
-                if fin_e > last_t:
-                    last_t = fin_e
-        bus._busy_until = busy
-        bus_stats = bus.stats
-        bus_stats.bytes_transferred += bus_bytes
-        bus_stats.transfer_count += n_xfers
-        bus_stats.busy_time += busy_add
+                if finish > last_t:
+                    last_t = finish
         if frames:
             self._wire_out.send_train(frames, times)
-        for ready, block, size, last_chunk in local:
-            sim.call_after(
-                ready - now, self._fast_local_deliver, op, block, size, last_chunk
-            )
+        for ready, block, size, last in local:
+            sim.call_after(ready - now, self._local_deliver, op, block, size, last)
         sim.call_after(last_t - now, op.sent.succeed, None)
-
-    def _fast_local_deliver(
-        self, op: ScatterOp, block: SendBlock, size: int, last: bool
-    ) -> None:
-        """Self-addressed chunk landing (the fast-path twin of
-        :meth:`_local_deliver`; completion is signalled separately)."""
-        gather = self._gathers.get(op.tag)
-        frame = Frame(
-            src=self.address,
-            dst=self.address,
-            payload_bytes=size,
-            headers=0,
-            kind="inic-local",
-            payload=block.data if last else None,
-            meta={"op": op.tag, "last": last, "total": block.nbytes},
-        )
-        if gather is None:
-            self._pending_rx.setdefault(op.tag, deque()).append(frame)
-        else:
-            self._account_rx(gather, frame)
 
     def receive_train(self, frames: list[Frame], times: list[float]) -> None:
         """Bulk receive from the fabric's delivery batcher.
@@ -792,34 +740,10 @@ class INICCard:
         self.sim.call_after(finish - self.sim.now, self._finish_rx_train, inic)
 
     def _finish_rx_train(self, frames: list[Frame]) -> None:
-        """The group's bus crossing completed: account every frame."""
-        stats = self.stats
-        wire = self._wire_out
+        """The group's bus crossing completed: land every frame."""
+        land = self._land
         for frame in frames:
-            stats.frames_received += frame.frame_count
-            stats.bytes_received += frame.payload_bytes
-            self._track_mem(frame.payload_bytes)
-            if (
-                not frame.meta.get("nocredit")
-                and not frame.dst.is_broadcast
-                and wire is not None
-            ):
-                wire.send(
-                    Frame(
-                        src=self.address,
-                        dst=frame.src,
-                        payload_bytes=0,
-                        headers=self.spec.proto.headers,
-                        kind="inic-credit",
-                        meta={"credit": frame.payload_bytes},
-                    )
-                )
-            tag = frame.meta["op"]
-            gather = self._gathers.get(tag)
-            if gather is None:
-                self._pending_rx.setdefault(tag, deque()).append(frame)
-            else:
-                self._account_rx(gather, frame)
+            land(frame)
 
     # -- receive datapath ---------------------------------------------------------------
     def _rx_loop(self):
@@ -830,31 +754,43 @@ class INICCard:
             # payloads cross it before reaching card memory; the ideal
             # card's dedicated network path is modelled the same way.
             yield self.net_rx.transfer(frame.payload_bytes)
-            self.stats.frames_received += frame.frame_count
-            self.stats.bytes_received += frame.payload_bytes
-            self._track_mem(frame.payload_bytes)
-            if (
-                not frame.dst.is_broadcast
-                and self._wire_out is not None
-                and not frame.meta.get("nocredit")
-            ):
-                # Return a credit: the bytes have left the fabric.
-                self._wire_out.send(
-                    Frame(
-                        src=self.address,
-                        dst=frame.src,
-                        payload_bytes=0,
-                        headers=self.spec.proto.headers,
-                        kind="inic-credit",
-                        meta={"credit": frame.payload_bytes},
-                    )
+            self._land(frame)
+
+    def _land(self, frame: Frame) -> None:
+        """A data frame has crossed the card bus: count it, hold it in
+        card memory, return its credit, and hand it to its gather."""
+        stats = self.stats
+        stats.frames_received += frame.frame_count
+        stats.bytes_received += frame.payload_bytes
+        self._track_mem(frame.payload_bytes)
+        wire = self._wire_out
+        if (
+            wire is not None
+            and not frame.dst.is_broadcast
+            and not frame.meta.get("nocredit")
+        ):
+            # Return a credit: the bytes have left the fabric.
+            wire.send(
+                Frame(
+                    src=self.address,
+                    dst=frame.src,
+                    payload_bytes=0,
+                    headers=self.spec.proto.headers,
+                    kind="inic-credit",
+                    meta={"credit": frame.payload_bytes},
                 )
-            tag = frame.meta["op"]
-            gather = self._gathers.get(tag)
-            if gather is None:
-                self._pending_rx.setdefault(tag, deque()).append(frame)
-            else:
-                self._account_rx(gather, frame)
+            )
+        self._hand_off(frame)
+
+    def _hand_off(self, frame: Frame) -> None:
+        """Account ``frame`` to the gather posted for its tag, or hold
+        it until that gather is posted."""
+        tag = frame.meta["op"]
+        gather = self._gathers.get(tag)
+        if gather is None:
+            self._pending_rx.setdefault(tag, deque()).append(frame)
+        else:
+            self._account_rx(gather, frame)
 
     def _account_rx(self, op: GatherOp, frame: Frame) -> None:
         op.plan.account(frame.src, frame.payload_bytes)

@@ -30,9 +30,9 @@ Two default policies exist because latency tolerance is *not* one
 number:
 
 * ``DEFAULT_BATCH`` governs protocol-level chunking (how many segments
-  or packets a sender emits as one frame).  Open-loop senders (raw
-  datagrams, the INIC's planned transfers) absorb the whole tolerance
-  as a one-off pipeline-fill artifact.
+  or packets a sender emits as one frame).  Open-loop senders (the
+  INIC's planned transfers) absorb the whole tolerance as a one-off
+  pipeline-fill artifact.
 * ``WIRE_BATCH`` governs in-flight train merging at switch output
   ports and NIC TX rings.  That path sits inside TCP's ACK feedback
   loop, where per-hop delay compounds (a delayed delivery delays the

@@ -45,10 +45,7 @@ star's Ethernet tail-drop semantics.
 That is deliberate: at low load every topology reproduces the wire
 star's arrival times byte-for-byte (the equivalence anchor,
 ``tests/test_identities.py::test_low_load_arrivals_match_wire_star``),
-and under load the extra contention points shape the curves.  Pass
-``hop_latency`` to charge a per-intermediate-hop store-and-forward cost
-instead; doing so breaks star equivalence by construction and is off by
-default.
+and under load the extra contention points shape the curves.
 """
 
 from __future__ import annotations
@@ -59,7 +56,6 @@ from typing import Optional, Sequence, TYPE_CHECKING
 from ..errors import NetworkError
 from ..sim.engine import Simulator
 from .addresses import MacAddress
-from .batching import BatchPolicy, WIRE_BATCH
 from .fabric import (
     FrameDevice,
     GIGABIT_ETHERNET,
@@ -549,15 +545,12 @@ class HierarchicalFabric:
         propagation_delay: float = 1e-6,
         forwarding_latency: float = 4e-6,
         buffer_bytes_per_port: float = 128 * 1024,
-        hop_latency: float = 0.0,
         name: str = "fabric",
     ):
         if bandwidth <= 0:
             raise NetworkError(f"fabric bandwidth must be > 0, got {bandwidth}")
         if buffer_bytes_per_port <= 0:
             raise NetworkError("fabric buffers must be > 0 bytes")
-        if hop_latency < 0:
-            raise NetworkError(f"negative hop latency {hop_latency}")
         self.sim = sim
         self.name = name
         self.topology = topology
@@ -567,7 +560,6 @@ class HierarchicalFabric:
         self.propagation_delay = float(propagation_delay)
         self.forwarding_latency = float(forwarding_latency)
         self.buffer_bytes_per_port = float(buffer_bytes_per_port)
-        self.hop_latency = float(hop_latency)
         self._lossless = bool(getattr(topology, "lossless", False))
         self._route = topology.route
         #: (route_key -> hop tuple) memo — routes are static, and at a
@@ -886,29 +878,32 @@ class HierarchicalFabric:
         self._hops_total += n_hops
         if n_hops > self._max_hops:
             self._max_hops = n_hops
-        if self._failed_clocks:
-            failed = self._failed_clocks
+        # A route crossing a failed clock (detection window, or a
+        # partially-detected multi-hop path) walks only the live hops
+        # before it and is blackholed at the dead component.
+        live = n_hops - 1
+        dead = False
+        failed = self._failed_clocks
+        if failed:
             for i in range(n_hops):
                 if hops[i] in failed:
-                    return self._drop_at_failure(
-                        hops, i, frame, arrival, tx_time
-                    )
+                    live = i
+                    dead = True
+                    break
         busy = self._clock_busy
         all_stats = self._stats
         wire_size = frame.wire_size
         frame_count = frame.frame_count
         bandwidth = self.bandwidth
-        buffer_bytes = self.buffer_bytes_per_port
-        hop_latency = self.hop_latency
         # Intermediate hops: FIFO contention on each inter-switch link
-        # clock; an idle link adds hop_latency only.  Inter-switch links
+        # clock; an idle link is crossed for free.  Inter-switch links
         # are *lossless* — credit-based link-level flow control, as in
         # APEnet+'s torus links and InfiniBand-style Clos fabrics —
         # so congestion shows up as queueing delay (watch
         # ``max_queue_bytes``), never as silent loss the end-to-end
         # protocols cannot attribute.  Only the final egress port keeps
         # the star's Ethernet tail-drop semantics.
-        for i in range(n_hops - 1):
+        for i in range(live):
             k = hops[i]
             b = busy[k]
             stats = all_stats[k]
@@ -920,17 +915,25 @@ class HierarchicalFabric:
             busy[k] = begin + tx_time
             stats.frames_forwarded += frame_count
             stats.bytes_forwarded += wire_size
-            arrival = begin + hop_latency
+            arrival = begin
+        k = hops[live]
+        stats = all_stats[k]
+        if dead:
+            # The drop lands in the dead clock's PortStats, so switch
+            # drop totals and the conservation ledger both see it.
+            stats.frames_dropped += frame_count
+            stats.bytes_dropped += wire_size
+            self._failover_drops += frame_count
+            self._failover_drop_bytes += wire_size
+            return self.sim.now
         # Final hop: the destination's egress port, exactly the star
         # model — except on lossless topologies (the torus), where the
         # ejection port is credit-backpressured like every other link
         # and overflow becomes delay instead of loss.
-        k = hops[n_hops - 1]
         b = busy[k]
-        stats = all_stats[k]
         backlog = (b - arrival) * bandwidth if b > arrival else 0.0
         queued = backlog + wire_size
-        if queued > buffer_bytes and not self._lossless:
+        if queued > self.buffer_bytes_per_port and not self._lossless:
             stats.frames_dropped += frame_count
             stats.bytes_dropped += wire_size
             return self.sim.now
@@ -951,45 +954,6 @@ class HierarchicalFabric:
         sim = self.sim
         sim.call_after(deliver_at - sim.now, device.receive_frame, frame)
         return deliver_at
-
-    def _drop_at_failure(
-        self,
-        hops: tuple[int, ...],
-        dead_index: int,
-        frame: Frame,
-        arrival: float,
-        tx_time: float,
-    ) -> float:
-        """The frame's route crosses a failed clock (detection window,
-        or a partially-detected multi-hop path): charge the live hops it
-        actually traversed, then blackhole it at the dead component —
-        the drop lands in that clock's :class:`PortStats`, so switch
-        drop totals and the conservation ledger both see it."""
-        busy = self._clock_busy
-        all_stats = self._stats
-        wire_size = frame.wire_size
-        frame_count = frame.frame_count
-        bandwidth = self.bandwidth
-        hop_latency = self.hop_latency
-        for i in range(dead_index):
-            k = hops[i]
-            b = busy[k]
-            stats = all_stats[k]
-            backlog = (b - arrival) * bandwidth if b > arrival else 0.0
-            queued = backlog + wire_size
-            if queued > stats.max_queue_bytes:
-                stats.max_queue_bytes = queued
-            begin = b if b > arrival else arrival
-            busy[k] = begin + tx_time
-            stats.frames_forwarded += frame_count
-            stats.bytes_forwarded += wire_size
-            arrival = begin + hop_latency
-        stats = all_stats[hops[dead_index]]
-        stats.frames_dropped += frame_count
-        stats.bytes_dropped += wire_size
-        self._failover_drops += frame_count
-        self._failover_drop_bytes += wire_size
-        return self.sim.now
 
     # -- statistics ---------------------------------------------------------------
     def port_stats(self, port: int) -> PortStats:
@@ -1097,7 +1061,6 @@ def _build_hierarchical(
     tech: NetworkTechnology,
     name: str,
     faults: Optional["FaultPlan"],
-    hop_latency: float,
 ) -> HierarchicalFabric:
     validate_stations(stations)
     buffer_bytes = tech.switch_buffer_per_port
@@ -1110,7 +1073,6 @@ def _build_hierarchical(
         propagation_delay=tech.propagation_delay,
         forwarding_latency=tech.switch_latency,
         buffer_bytes_per_port=buffer_bytes,
-        hop_latency=hop_latency,
         name=name,
     )
     for port, (addr, device) in enumerate(stations):
@@ -1129,15 +1091,13 @@ def build_aggregate_star(
     sim: Simulator,
     stations: Sequence[tuple[MacAddress, FrameDevice]],
     tech: NetworkTechnology = GIGABIT_ETHERNET,
-    batch: BatchPolicy = WIRE_BATCH,
     name: str = "fabric",
     faults: Optional["FaultPlan"] = None,
 ) -> HierarchicalFabric:
     """Wire ``stations`` to a one-switch :class:`StarTopology`.
 
     The O(ports) alternative to :func:`~repro.net.fabric.build_star`
-    for scale-out runs.  ``batch`` is accepted for builder-signature
-    parity (no in-fabric train merging at this fidelity).
+    for scale-out runs.
 
     A ``faults`` plan installs per-uplink link-fault injectors (the
     uplinks carry the same ``<name>.up<port>`` names as the full star's
@@ -1148,7 +1108,7 @@ def build_aggregate_star(
     is where all link faults are drawn.
     """
     return _build_hierarchical(
-        sim, stations, StarTopology(len(stations)), tech, name, faults, 0.0
+        sim, stations, StarTopology(len(stations)), tech, name, faults
     )
 
 
@@ -1156,40 +1116,31 @@ def build_fattree(
     sim: Simulator,
     stations: Sequence[tuple[MacAddress, FrameDevice]],
     tech: NetworkTechnology = GIGABIT_ETHERNET,
-    batch: BatchPolicy = WIRE_BATCH,
     name: str = "fabric",
     faults: Optional["FaultPlan"] = None,
     oversub: int = 1,
     leaf_ports: Optional[int] = None,
     leaves: Optional[int] = None,
-    hop_latency: float = 0.0,
 ) -> HierarchicalFabric:
     """Wire ``stations`` to a leaf/spine fat-tree.
 
-    ``batch`` is accepted for builder-signature parity (no in-fabric
-    train merging at this fidelity).  ``faults`` installs per-uplink
-    injectors and buffer pressure, as on the star.
+    ``faults`` installs per-uplink injectors and buffer pressure, as on
+    the star.
     """
     topo = FatTreeTopology(
         len(stations), oversub=oversub, leaf_ports=leaf_ports, leaves=leaves
     )
-    return _build_hierarchical(
-        sim, stations, topo, tech, name, faults, hop_latency
-    )
+    return _build_hierarchical(sim, stations, topo, tech, name, faults)
 
 
 def build_torus(
     sim: Simulator,
     stations: Sequence[tuple[MacAddress, FrameDevice]],
     tech: NetworkTechnology = GIGABIT_ETHERNET,
-    batch: BatchPolicy = WIRE_BATCH,
     name: str = "fabric",
     faults: Optional["FaultPlan"] = None,
     dims: Optional[Sequence[int]] = None,
-    hop_latency: float = 0.0,
 ) -> HierarchicalFabric:
     """Wire ``stations`` to a 3D torus (dimension-ordered routing)."""
     topo = TorusTopology(len(stations), dims=dims)
-    return _build_hierarchical(
-        sim, stations, topo, tech, name, faults, hop_latency
-    )
+    return _build_hierarchical(sim, stations, topo, tech, name, faults)

@@ -1,8 +1,7 @@
-"""Protocol stacks: TCP baseline, raw Ethernet, INIC custom protocol."""
+"""Protocol stacks: TCP baseline and the INIC custom protocol."""
 
 from .base import Mailbox, MessageView, choose_quantum, next_message_id
 from .inicproto import CreditGate, INICProtoConfig, TransferPlan
-from .raw import RawConfig, RawEthernetStack
 from .tcp import TCPConfig, TCPStack, TCPStats
 
 __all__ = [
@@ -10,8 +9,6 @@ __all__ = [
     "INICProtoConfig",
     "Mailbox",
     "MessageView",
-    "RawConfig",
-    "RawEthernetStack",
     "TCPConfig",
     "TCPStack",
     "TCPStats",

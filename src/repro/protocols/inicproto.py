@@ -43,12 +43,7 @@ __all__ = ["INICProtoConfig", "TransferPlan", "CreditGate"]
 
 @dataclass(frozen=True)
 class INICProtoConfig:
-    """Framing for the custom on-card protocol.
-
-    Field naming follows the repo-wide convention (``max_retries`` /
-    ``timeout`` / ``retry_backoff``, shared with
-    :class:`~repro.protocols.raw.RawConfig`).
-    """
+    """Framing for the custom on-card protocol."""
 
     packet_size: int = 1024  # paper, Section 4.2
     headers: int = 8  # built directly on Ethernet; minimal header

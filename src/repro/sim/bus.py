@@ -108,19 +108,11 @@ class FCFSBus:
         returned event is awaitable (``await bus.transfer(n)``) as well
         as yieldable; its value is the byte count.
         """
-        if nbytes <= 0:
-            raise BusError(f"bus transfer of {nbytes} bytes on {self.name!r}")
-        now = self.sim.now
-        start = now if now > self._busy_until else self._busy_until
-        duration = self.arbitration_latency + nbytes / self.bandwidth
-        finish = start + duration
-        self._busy_until = finish
-        self.stats.bytes_transferred += nbytes
-        self.stats.transfer_count += 1
-        self.stats.busy_time += duration
+        sim = self.sim
+        _start, finish = self.reserve(nbytes)
         # One schedule entry: the completion event itself (no trampoline).
-        done = self.sim.event(name=self._xfer_name)
-        self.sim.succeed_later(done, finish - now, nbytes)
+        done = sim.event(name=self._xfer_name)
+        sim.succeed_later(done, finish - sim.now, nbytes)
         return done
 
     def transfer_proc(self, nbytes: float):
@@ -128,28 +120,34 @@ class FCFSBus:
         yield self.transfer(nbytes)
         return nbytes
 
-    def reserve(self, nbytes: float, transactions: int = 1) -> tuple[float, float]:
+    def reserve(
+        self, nbytes: float, transactions: int = 1, not_before: float = 0.0
+    ) -> tuple[float, float]:
         """Claim bus time for ``transactions`` back-to-back transfers.
 
-        Event-free companion to :meth:`transfer` for bulk admission: the
-        busy clock advances exactly as if ``transactions`` transfers
-        totalling ``nbytes`` had been issued one after another (each
-        paying the arbitration latency), but no completion event is
-        allocated — the caller schedules its own wakeup.  Returns
-        ``(start, finish)`` of the reserved window.
+        The one copy of the FCFS clock: the window starts at the latest
+        of now, the end of the previous claim and ``not_before`` (the
+        time the data is ready to cross), each transaction pays the
+        arbitration latency, and the statistics are charged at once.
+        :meth:`transfer` is one transaction plus a completion event;
+        bulk callers (the card's train mode and train receive) schedule
+        their own wakeups.  Returns ``(start, finish)`` of the window.
         """
         if nbytes <= 0:
-            raise BusError(f"bus reserve of {nbytes} bytes on {self.name!r}")
+            raise BusError(f"bus transfer of {nbytes} bytes on {self.name!r}")
         if transactions < 1:
             raise BusError(f"bus reserve of {transactions} transactions")
         now = self.sim.now
         start = now if now > self._busy_until else self._busy_until
+        if not_before > start:
+            start = not_before
         duration = transactions * self.arbitration_latency + nbytes / self.bandwidth
         finish = start + duration
         self._busy_until = finish
-        self.stats.bytes_transferred += nbytes
-        self.stats.transfer_count += transactions
-        self.stats.busy_time += duration
+        stats = self.stats
+        stats.bytes_transferred += nbytes
+        stats.transfer_count += transactions
+        stats.busy_time += duration
         return start, finish
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -46,7 +46,7 @@ events, most of which are one of two shapes:
   represented by a free-list-pooled :class:`Timeout` that the run loop
   recycles once its callbacks have fired.
 
-``run()`` inlines the per-event work (no ``step()`` call per event) and
+``run()`` is the one dispatch loop: it inlines the per-event work and
 ``Timeout`` builds its display name lazily — the f-string only exists if
 someone actually prints the event.
 
@@ -273,12 +273,6 @@ class _Callback:
     def __init__(self) -> None:
         self.fn: Optional[Callable[..., None]] = None
         self.args: tuple = ()
-
-
-def _run_group(calls: list) -> None:
-    """Fire a :meth:`Simulator.call_group` batch (list order)."""
-    for fn, args in calls:
-        fn(*args)
 
 
 class Initialize(Event):
@@ -613,17 +607,6 @@ class Simulator:
         cb.args = args
         return self._push(self._now + delay, NORMAL, next(self._seq), cb)
 
-    def call_group(self, delay: float, calls: list) -> list:
-        """Run a list of ``(fn, args)`` pairs after ``delay`` seconds.
-
-        Bulk-injection companion to :meth:`call_after`: the whole group
-        rides a single pooled scheduler entry and fires in list order at
-        one timestamp.  Used by the flow-clock fast path to deliver a
-        frame train with one event instead of one per frame.  Returns a
-        :meth:`cancel_callback`-compatible handle.
-        """
-        return self.call_after(delay, _run_group, calls)
-
     def cancel_callback(self, handle) -> bool:
         """Cancel a pending :meth:`call_after`; True if it was withdrawn.
 
@@ -679,51 +662,6 @@ class Simulator:
         t = self._sched.peek_time()
         return t if t is not None else float("inf")
 
-    def _fire(self, item) -> None:
-        """Dispatch one popped payload — the single copy of the fast paths.
-
-        Both :meth:`step` and :meth:`run` funnel through here, so the
-        ``_Callback`` and pooled-``Timeout`` recycling logic exists
-        exactly once.
-        """
-        if type(item) is _Callback:
-            fn, args = item.fn, item.args
-            fn(*args)
-            item.fn = None
-            item.args = ()
-            pool = self._callback_pool
-            if len(pool) < _POOL_MAX:
-                pool.append(item)
-            return
-        callbacks, item.callbacks = item.callbacks, None
-        for fn in callbacks:
-            fn(item)
-        if not item._ok and not callbacks:
-            # A failed event nobody waited on: surface the error instead of
-            # silently dropping it (mirrors simpy's behaviour).
-            raise item._value
-        if type(item) is Timeout and item._pooled:
-            pool = self._timeout_pool
-            if len(pool) < _POOL_MAX:
-                item._value = _PENDING
-                pool.append(item)
-
-    def step(self) -> None:
-        """Process exactly one event (slow path; ``run()`` binds locals)."""
-        entry = self._sched.pop()
-        if entry is None:
-            raise IndexError("step from an empty schedule")
-        when = entry[0]
-        if when < self._now:  # pragma: no cover - scheduler order guarantee
-            raise SimTimeError("event schedule time went backwards")
-        self._now = when
-        self.event_count += 1
-        item = entry[3]
-        entry[3] = None  # detach: stale cancel handles become no-ops
-        if self._trace is not None:
-            self._trace.append((when, entry[1], entry[2], type(item).__name__))
-        self._fire(item)
-
     def run(
         self, until: Optional[float | Event] = None, max_events: Optional[int] = None
     ) -> Any:
@@ -763,10 +701,9 @@ class Simulator:
                     f"cannot run until {horizon!r}: clock already at {self._now!r}"
                 )
 
-        # The loop below is step()/_fire() with everything hot bound to
-        # locals and every payload kind dispatched inline — one type
-        # check each for the two dominant shapes (``_Callback``, pooled
-        # ``Timeout``) instead of a shared megamorphic ``_fire`` call.
+        # The one dispatch loop: everything hot bound to locals and
+        # every payload kind dispatched inline — one type check each for
+        # the two dominant shapes (``_Callback``, pooled ``Timeout``).
         # The per-event overhead here bounds every figure sweep.
         sched = self._sched
         pop = sched.pop
@@ -807,9 +744,8 @@ class Simulator:
                         cb_pool.append(item)
                     fn(*args)
                 else:
-                    # Inlined Event dispatch (the single other shape the
-                    # scheduler ever holds); semantics identical to
-                    # ``_fire``, which ``step()`` still uses.
+                    # Event dispatch (the single other shape the
+                    # scheduler ever holds).
                     callbacks = item.callbacks
                     item.callbacks = None
                     for fn in callbacks:

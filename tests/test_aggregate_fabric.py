@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import NetworkError
-from repro.faults import FaultSpec, FaultPlan, WireFault
+from repro.faults import ComponentFaultSpec, FaultSpec, FaultPlan, WireFault
+from repro.faults.campaign import fabric_components
 from repro.net import (
     BROADCAST,
     Frame,
@@ -306,12 +307,19 @@ def test_train_length_mismatch_rejected():
         fabric.uplink(0).send_train([frame], [0.0, 1.0])
 
 
+class _TrainStation(Station):
+    """A station that also takes delivery groups from bulk admission."""
+
+    def receive_train(self, frames, times):
+        self.got.extend(zip(frames, times))
+
+
 @pytest.mark.parametrize(
-    "builder",
+    "builder,kind",
     [
-        pytest.param(build_aggregate_star, id="aggregate"),
-        pytest.param(build_fattree, id="fattree"),
-        pytest.param(build_torus, id="torus"),
+        pytest.param(build_aggregate_star, "aggregate", id="aggregate"),
+        pytest.param(build_fattree, "fattree", id="fattree"),
+        pytest.param(build_torus, "torus", id="torus"),
     ],
 )
 @settings(max_examples=40, deadline=None)
@@ -325,24 +333,76 @@ def test_train_length_mismatch_rejected():
         ),
         max_size=120,
     ),
+    trains=st.lists(
+        st.tuples(
+            st.integers(0, 3),  # source station
+            st.lists(
+                st.tuples(st.integers(0, 3), st.integers(0, 1500)),
+                min_size=1,
+                max_size=12,
+            ),  # (destination, payload bytes) per frame
+            st.floats(0.0, 2e-4),  # train start
+            st.floats(0.0, 2e-5),  # spacing between the train's frames
+        ),
+        max_size=6,
+    ),
+    window=st.none()
+    | st.tuples(
+        st.integers(0, 63),  # which failable component (mod their count)
+        st.floats(0.0, 2e-4),  # window start, after the first frame
+        st.floats(1e-6, 2e-4),  # window duration
+        st.floats(0.0, 3e-4),  # detection_delay
+    ),
     buffer_frames=st.integers(1, 8),
 )
-def test_star_conserves_frames_under_random_schedules(builder, sends, buffer_frames):
+def test_star_conserves_frames_under_random_schedules(
+    builder, kind, sends, trains, window, buffer_frames
+):
     """Any frame schedule, contended or not, with buffers from one frame
     up, on every busy-until fabric (four stations span two fat-tree
     leaves and a 2x1x2 torus): every frame that reached forwarding is
-    delivered or dropped."""
+    delivered or dropped.  Some frames go as trains through
+    ``send_train`` (bulk admission, delivered in groups), and an
+    optional component window fails one of the fabric's failable
+    components, so a route can die at any of its hops."""
     sim = Simulator()
-    stations = [Station(sim) for _ in range(4)]
+    stations = [_TrainStation(sim) for _ in range(4)]
     addrs = [MacAddress(i) for i in range(4)]
     tech = dataclasses.replace(
         GIGABIT_ETHERNET, switch_buffer_per_port=buffer_frames * 1538.0
     )
     fabric = builder(sim, list(zip(addrs, stations)), tech=tech)
+    if window is not None:
+        pick, start, duration, detect = window
+        components = fabric_components(kind, 4)
+        name, comp_kind = components[pick % len(components)]
+        fabric.install_component_faults(
+            FaultPlan(
+                FaultSpec(
+                    components=(
+                        ComponentFaultSpec(
+                            name, windows=((start, duration),), kind=comp_kind
+                        ),
+                    ),
+                    detection_delay=detect,
+                )
+            )
+        )
     for src, dst, size, at in sends:
         to = BROADCAST if dst == 4 else addrs[dst]
         frame = Frame(addrs[src], to, payload_bytes=size, headers=40)
         sim.call_after(at, stations[src].send, frame)
+    for src, entries, at, gap in trains:
+        frames = [
+            Frame(addrs[src], addrs[dst], payload_bytes=size, headers=40)
+            for dst, size in entries
+        ]
+
+        def fire(wire=stations[src].wire, frames=frames, gap=gap):
+            now = sim.now
+            wire.send_train(frames, [now + i * gap for i in range(len(frames))])
+
+        sim.call_after(at, fire)
     sim.run()
     ledger = fabric.conservation_counters()
     assert ledger["frames_in"] == (

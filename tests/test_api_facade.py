@@ -24,7 +24,7 @@ from repro.config import ConfigError
 from repro.core.manager import INICManager
 from repro.errors import FaultConfigError
 from repro.net.batching import BatchPolicy
-from repro.protocols import INICProtoConfig, RawConfig
+from repro.protocols import INICProtoConfig
 
 
 FAULTS = FaultSpec(seed=5, loss_rate=0.01)
@@ -161,7 +161,6 @@ def test_session_spawn_generator_and_coroutine():
     "cfg",
     [
         INICProtoConfig(packet_size=2048, max_retries=3, timeout=0.01),
-        RawConfig(max_retries=2, timeout=0.125),
         BatchPolicy(timing_tolerance=50e-6, max_quantum=32),
         FaultSpec(seed=9, loss_rate=0.02, outages=((0.1, 0.05),)),
     ],

@@ -2,8 +2,8 @@
 
 Covers the fault subsystem end to end: spec validation and sweep-param
 embedding, per-wire injector determinism, the link/switch/ring/FPGA
-hooks, NACK-driven retransmission in both the raw stack and the INIC
-protocol, ``TransferAborted`` on budget exhaustion, graceful degradation
+hooks, NACK-driven retransmission in the INIC protocol,
+``TransferAborted`` on budget exhaustion, graceful degradation
 to the host-TCP path, and the serial-vs-parallel determinism of lossy
 sweep points.
 """
@@ -30,10 +30,9 @@ from repro.faults import (
 )
 from repro.inic import SendBlock
 from repro.inic.card import IDEAL_INIC
-from repro.net import Frame, MacAddress, StandardNIC, Wire, build_star
-from repro.protocols import RawConfig, RawEthernetStack, TransferPlan
-from repro.protocols.base import Mailbox
-from repro.sim import FairShareBus, Simulator
+from repro.net import Frame, MacAddress, Wire
+from repro.protocols import TransferPlan
+from repro.sim import Simulator
 
 
 def _recovery(card, retries=8):
@@ -300,178 +299,6 @@ def test_wire_rejects_second_injector():
 
     with pytest.raises(LinkError):
         wire.install_fault(ScriptedFault([]))
-
-
-# -- Raw stack reliable mode -------------------------------------------------------
-
-
-def _raw_pair(sim, cfg, faults=None, batch=None):
-    from repro.net.batching import DEFAULT_BATCH
-
-    batch = batch or DEFAULT_BATCH
-    nics, stacks = [], []
-    for i in range(2):
-        bus = FairShareBus(sim, bandwidth=112e6)
-        nic = StandardNIC(
-            sim, MacAddress(i), host_bus=bus, batch=batch, name=f"nic{i}"
-        )
-        stacks.append(RawEthernetStack(sim, nic, config=cfg, name=f"raw{i}"))
-        nics.append(nic)
-    build_star(
-        sim,
-        [(MacAddress(i), nics[i]) for i in range(2)],
-        batch=batch,
-        faults=faults,
-    )
-    return nics, stacks
-
-
-def test_raw_config_validates_recovery_timing():
-    from repro.errors import ProtocolError
-
-    with pytest.raises(ProtocolError):
-        RawConfig(timeout=0.0)
-    with pytest.raises(ProtocolError):
-        RawConfig(retry_backoff=0.5)
-    with pytest.raises(ProtocolError):
-        RawConfig(max_retries=-1)
-
-
-def test_raw_reliable_completes_on_ack_without_faults():
-    sim = Simulator()
-    _, stacks = _raw_pair(sim, RawConfig(reliable=True))
-    t = {}
-
-    def sender():
-        yield stacks[0].send(MacAddress(1), 40_000)
-        t["acked"] = sim.now
-
-    def receiver():
-        yield stacks[1].recv()
-
-    sim.process(sender())
-    sim.process(receiver())
-    sim.run()
-    assert stacks[1].messages_delivered == 1
-    assert stacks[0].acks_received == 1
-    assert stacks[0].retransmits == 0
-    assert t["acked"] > 0
-
-
-def test_raw_reliable_recovers_from_outage_by_timeout_resend():
-    sim = Simulator()
-    cfg = RawConfig(reliable=True, timeout=0.005, max_retries=4)
-    plan = FaultPlan(FaultSpec(outages=((0.0, 0.002),)))
-    _, stacks = _raw_pair(sim, cfg, faults=plan)
-    t = {}
-
-    def sender():
-        yield stacks[0].send(MacAddress(1), 20_000)
-        t["acked"] = sim.now
-
-    def receiver():
-        yield stacks[1].recv()
-
-    sim.process(sender())
-    sim.process(receiver())
-    sim.run()
-    assert stacks[1].messages_delivered == 1
-    assert stacks[0].retransmits >= 1
-    assert stacks[0].transfer_aborts == 0
-    assert t["acked"] > cfg.timeout  # paid at least one timeout
-    counters = plan.link_counters()
-    assert counters["frames_dropped"] > 0
-
-
-def test_raw_reliable_aborts_after_retry_budget():
-    sim = Simulator()
-    cfg = RawConfig(reliable=True, timeout=0.001, max_retries=1)
-    plan = FaultPlan(FaultSpec(outages=((0.0, 60.0),)))  # dead fabric
-    _, stacks = _raw_pair(sim, cfg, faults=plan)
-
-    def sender():
-        yield stacks[0].send(MacAddress(1), 5_000)
-
-    p = sim.process(sender())
-    with pytest.raises(TransferAborted):
-        sim.run(until=p)
-    assert stacks[0].transfer_aborts == 1
-    assert stacks[0].retransmits == 1
-
-
-def test_raw_reliable_nack_fast_path_beats_timeout():
-    """A hole behind the final frame triggers an immediate NACK and a
-    partial retransmit, well before the sender's retransmit timeout."""
-    from repro.net.batching import PER_FRAME
-
-    sim = Simulator()
-    mtu = 1500
-    cfg = RawConfig(
-        reliable=True,
-        timeout=0.5,  # deliberately huge: fast path must win
-        quantum_target_events=10**9,
-        max_quantum=1,
-        batch=PER_FRAME,
-    )
-    nics, stacks = _raw_pair(sim, cfg, batch=PER_FRAME)
-    # Drop only the first data train on the sender's uplink.
-    nics[0]._wire_out.install_fault(ScriptedFault([DROP]))
-    t = {}
-
-    def sender():
-        yield stacks[0].send(MacAddress(1), 3 * mtu)
-        t["acked"] = sim.now
-
-    def receiver():
-        yield stacks[1].recv()
-        t["got"] = sim.now
-
-    sim.process(sender())
-    sim.process(receiver())
-    sim.run()
-    assert stacks[1].nacks_sent == 1
-    assert stacks[0].nacks_received == 1
-    assert stacks[0].retransmits == 1
-    assert stacks[0].retransmitted_bytes == mtu
-    assert t["got"] < cfg.timeout
-    assert t["acked"] < cfg.timeout
-
-
-# -- Mailbox failure propagation ---------------------------------------------------
-
-
-def test_mailbox_fail_wakes_matching_waiter():
-    sim = Simulator()
-    box = Mailbox(sim)
-    seen = []
-
-    def waiter():
-        try:
-            yield box.recv(src=MacAddress(3))
-        except TransferAborted as e:
-            seen.append(str(e))
-
-    sim.process(waiter())
-    sim.run()
-    box.fail(MacAddress(3), None, TransferAborted("gone"))
-    sim.run()
-    assert seen == ["gone"]
-
-
-def test_mailbox_fail_poisons_future_matching_recv():
-    sim = Simulator()
-    box = Mailbox(sim)
-    box.fail(MacAddress(1), 7, TransferAborted("dead peer"))
-    ev = box.recv(src=MacAddress(1), tag=7)
-
-    def waiter():
-        yield ev
-
-    p = sim.process(waiter())
-    with pytest.raises(TransferAborted, match="dead peer"):
-        sim.run(until=p)
-    # Non-matching receives are untouched.
-    assert not box.recv(src=MacAddress(2), tag=7).triggered
 
 
 # -- INIC protocol recovery --------------------------------------------------------

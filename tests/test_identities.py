@@ -15,7 +15,8 @@ stated, gated bound:
   against the full per-wire star, arrival float for arrival float;
 * ``test_bulk_admission_matches_frame_level`` — bulk flow-clock train
   admission against frame-level sends: arrivals, conservation ledger
-  and fault log;
+  and fault log; ``..._on_random_trains`` holds it on random train
+  schedules;
 * ``test_card_train_mode_within_bound`` — the card-level train mode
   (``Experiment().fastpath()``) against the frame-level card, within a
   per-fabric makespan bound.
@@ -27,6 +28,7 @@ import os
 from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps import netbench
 from repro.bench.harness import Scale
@@ -248,13 +250,16 @@ def _exchange_trains(n: int, repeat: int = 2):
     return trains
 
 
-def _exchange(builder, opts, bulk: bool, fault_spec=None):
-    """Run the exchange pattern one way; returns (arrivals, ledger, fabric)."""
-    sim, stations, addrs, fabric = _wire(builder, EXCHANGE_N, **opts)
+def _exchange(builder, opts, bulk: bool, fault_spec=None, trains=None, n=EXCHANGE_N):
+    """Run ``trains`` (default: the exchange pattern) on ``n`` stations
+    one way; returns (arrivals, ledger, fabric)."""
+    sim, stations, addrs, fabric = _wire(builder, n, **opts)
     if fault_spec is not None:
         uplink = fabric.uplink(0)
         uplink.install_fault(WireFault(fault_spec, uplink.name))
-    for base_t, src, intra, entries in _exchange_trains(EXCHANGE_N):
+    if trains is None:
+        trains = _exchange_trains(n)
+    for base_t, src, intra, entries in trains:
         wire = stations[src].wire
 
         def fire(wire=wire, src=src, base_t=base_t, intra=intra, entries=entries):
@@ -315,6 +320,46 @@ def test_bulk_admission_matches_frame_level(builder, opts, fault_spec, tail_drop
     else:
         assert 0 < fabric.trains_fast < len(_exchange_trains(EXCHANGE_N))
         assert fabric.uplink(0).fault.log == ref_fabric.uplink(0).fault.log
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        pytest.param(build_aggregate_star, id="aggregate"),
+        pytest.param(build_fattree, id="fattree"),
+        pytest.param(build_torus, id="torus"),
+    ],
+)
+@settings(max_examples=25, deadline=None)
+@given(
+    trains=st.lists(
+        st.tuples(
+            st.integers(0, 7),  # source station
+            st.lists(
+                st.tuples(st.integers(0, 7), st.integers(0, 1500)),
+                min_size=1,
+                max_size=24,
+            ),  # (destination, payload bytes) per frame
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_bulk_admission_matches_frame_level_on_random_trains(builder, trains):
+    """Reference: the same trains sent frame by frame.  Random sources,
+    destinations (self included), sizes and train lengths on 8
+    stations, laid on the exchange's dyadic grid — train ``k`` starts
+    at ``k * TRAIN_GAP`` with ``TRAIN_INTRA`` spacing, so trains never
+    overlap: every arrival float and the ledger must be identical."""
+    schedule = [
+        (k * TRAIN_GAP, src, TRAIN_INTRA, entries)
+        for k, (src, entries) in enumerate(trains)
+    ]
+    ref, ref_ledger, _ = _exchange(builder, {}, False, trains=schedule, n=8)
+    got, ledger, fabric = _exchange(builder, {}, True, trains=schedule, n=8)
+    assert got == ref
+    assert ledger == ref_ledger
+    assert fabric.trains_fast == len(schedule)
 
 
 # -- card: train mode vs the frame-level card --------------------------------

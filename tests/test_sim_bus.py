@@ -40,6 +40,23 @@ def test_fcfs_arbitration_latency():
     assert sim.now == pytest.approx(1.5)
 
 
+def test_fcfs_reserve_starts_no_earlier_than_not_before():
+    sim = Simulator()
+    bus = FCFSBus(sim, bandwidth=100.0, arbitration_latency=0.5)
+    assert bus.reserve(100.0) == (0.0, 1.5)
+    # data ready after the bus frees: the claim waits for the data
+    assert bus.reserve(100.0, not_before=4.0) == (4.0, 5.5)
+    # data ready before the bus frees: FIFO behind the previous claim
+    assert bus.reserve(200.0, 2, not_before=1.0) == (5.5, 8.5)
+    assert bus.stats.transfer_count == 4
+    assert bus.stats.busy_time == 6.0
+    # transfer() is a one-transaction reserve plus its completion event
+    done = bus.transfer(100.0)
+    sim.run(until=done)
+    assert sim.now == 10.0
+    assert bus.stats.transfer_count == 5
+
+
 def test_fcfs_rejects_zero_bytes():
     sim = Simulator()
     bus = FCFSBus(sim, bandwidth=100.0)
