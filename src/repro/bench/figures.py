@@ -407,7 +407,17 @@ def _figfaults_build(scale: Scale, results: dict[str, PointResult]) -> Experimen
         "seconds (counters unitless)",
     )
     x = [float(r) for r in rates]
-    exp.add(Series("INIC sort makespan (s)", x, [v["makespan"] for v in vals]))
+    # An aborted transfer's "makespan" is the time it gave up, not a
+    # completion time: leave it off the makespan curve and flag it.
+    done = [(r, v["makespan"]) for r, v in zip(x, vals) if not v.get("aborted")]
+    exp.add(
+        Series(
+            "INIC sort makespan (s)", [r for r, _ in done], [m for _, m in done]
+        )
+    )
+    exp.add(
+        Series("aborted", x, [1.0 if v.get("aborted") else 0.0 for v in vals])
+    )
     exp.add(
         Series(
             "retransmits",
@@ -426,6 +436,12 @@ def _figfaults_build(scale: Scale, results: dict[str, PointResult]) -> Experimen
         "loss recovery: NACK-driven retransmission with exponential backoff; "
         "the zero-loss anchor is the ideal-fabric point (shared cache entry)"
     )
+    aborted = [f"{r:g}" for r, v in zip(x, vals) if v.get("aborted")]
+    if aborted:
+        exp.notes.append(
+            f"transfer aborted (retries exhausted) at loss rate "
+            f"{', '.join(aborted)}: no makespan plotted"
+        )
     return exp
 
 

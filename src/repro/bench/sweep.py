@@ -390,15 +390,11 @@ def _point_value(session, res, **extra) -> dict:
         "makespan": res.makespan,
         "events": session.sim.event_count,
     }
-    # busy-until fabrics (the aggregate star included) also report their
-    # routing cost (hop counts); only the full per-wire star has no
-    # hop_stats, so its payloads carry no "hops" block
-    hop_stats = getattr(session.cluster.switch, "hop_stats", None)
-    if hop_stats is not None:
-        out["hops"] = hop_stats()
+    # every fabric reports its routing cost (hop counts)
+    out["hops"] = session.cluster.switch.hop_stats()
     # fast-path engagement counter: trains bulk-admitted by the fabric's
     # flow clock (absent from legacy payloads and frame-level runs)
-    trains = getattr(session.cluster.switch, "trains_fast", 0)
+    trains = session.cluster.switch.trains_fast
     if trains:
         out["trains_fast"] = trains
     out.update(extra)
@@ -812,11 +808,10 @@ def scale_points(
 ) -> list[PointSpec]:
     """The scale-out suite: FFT and integer sort at ``Scale.large``'s
     32-128 nodes, TCP/GigE baseline vs prototype INIC, both on the
-    aggregated fabric (``fabric: "aggregate"`` — per-port busy-until
-    contention instead of per-wire objects; see
-    :class:`repro.net.topology.StarTopology`) — then the hierarchical
-    topology axis: the same workloads on a fat-tree up to 1024 nodes
-    and on a 3D torus up to :data:`TORUS_MAX_P`
+    one-switch star (``fabric: "aggregate"``, per-port busy-until
+    contention; see :class:`repro.net.topology.StarTopology`) — then the
+    hierarchical topology axis: the same workloads on a fat-tree up to
+    1024 nodes and on a 3D torus up to :data:`TORUS_MAX_P`
     (:mod:`repro.net.topology`).
 
     High node counts are INIC-centric (one GigE/fat-tree baseline pair
@@ -979,15 +974,16 @@ def fault_points(scale) -> list[PointSpec]:
             },
         )
     )
-    # Fabric composition: the same lossy plan on the O(ports) aggregate
-    # star, on a fat-tree, and on the torus.  All install the identical
-    # named per-uplink injectors the full wire star uses (fabric.up<i>,
-    # seeded via derive_seed), so recovery is exercised at every
-    # fidelity level; ``build_report`` records each row's fabric.
+    # Fabric composition: the same lossy plan on a fat-tree and on the
+    # torus (the loss-rate rows above already run it on the default
+    # star).  Every fabric installs the identical named per-uplink
+    # injectors (fabric.up<i>, seeded via derive_seed), so recovery is
+    # exercised on every topology; ``build_report`` records each row's
+    # fabric.
     rate = max(r for r in scale.loss_rates if r > 0) if any(
         r > 0 for r in scale.loss_rates
     ) else 0.01
-    for fabric in ("aggregate", "fattree", "torus"):
+    for fabric in ("fattree", "torus"):
         specs.append(
             PointSpec(
                 "sort-des",
@@ -1214,6 +1210,8 @@ def build_report(
 ) -> dict[str, Any]:
     """The engine's JSON report — the single source every perf artifact
     (``BENCH_perf.json``, the committed reference) is written from."""
+    from ..cluster.builder import DEFAULT_FABRIC
+
     backend = scheduler_backend()
     scenarios = {}
     for name, r in results.items():
@@ -1227,7 +1225,7 @@ def build_report(
             "compiled": backend["compiled"],
             # fabric topology comes from the spec (not the cached value),
             # so legacy cache entries report correctly too
-            "fabric": r.spec.params.get("fabric", "wire"),
+            "fabric": r.spec.params.get("fabric", DEFAULT_FABRIC),
             # bulk flow-clock admission opt-in (spec-side, like fabric)
             "fastpath": bool(r.spec.params.get("fastpath", False)),
         }
@@ -1406,7 +1404,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     for name, r in doc["scenarios"].items():
         tag = "cached" if r["cached"] else f"{r['wall_seconds']:.3f}s"
         extra = ""
-        if args.suite in ("faults", "chaos") and r["fabric"] != "wire":
+        if args.suite in ("faults", "chaos"):
             extra += f" fabric={r['fabric']}"
         if "faults" in r:
             f = r["faults"]

@@ -2,7 +2,8 @@
 
 ``ClusterSpec`` describes a whole machine; ``Cluster.build`` turns it
 into a wired simulation: nodes, their protocol stacks, and either
-standard NICs or INIC cards on a switched star fabric.
+standard NICs or INIC cards on a busy-until fabric — the prototype's
+one-switch star by default.
 
 ``athlon_node()`` captures the prototype node of Section 5 (1 GHz
 Athlon, 64 KiB L1 / 256 KiB L2, PC133 SDRAM, 32-bit/33 MHz PCI).
@@ -20,7 +21,7 @@ from ..hw.interrupts import CoalescePolicy
 from ..hw.memory import CacheLevel, MemoryHierarchy
 from ..hw.pci import pci_32_33
 from ..inic.card import CardSpec, IDEAL_INIC, INICCard
-from ..net.fabric import GIGABIT_ETHERNET, NetworkTechnology, build_star
+from ..net.fabric import GIGABIT_ETHERNET, NetworkTechnology
 from ..net.topology import (
     HierarchicalFabric,
     build_aggregate_star,
@@ -28,7 +29,6 @@ from ..net.topology import (
     build_torus,
 )
 from ..net.nic import StandardNIC
-from ..net.switch import Switch
 from ..protocols.tcp import TCPConfig, TCPStack
 from ..sim.engine import Simulator
 from ..sim.rand import RandomStreams
@@ -36,13 +36,21 @@ from ..sim.trace import TraceRecorder
 from ..units import KiB
 from .node import Node
 
-__all__ = ["NodeHardware", "ClusterSpec", "Cluster", "FABRIC_KINDS", "athlon_node"]
+__all__ = [
+    "NodeHardware",
+    "ClusterSpec",
+    "Cluster",
+    "DEFAULT_FABRIC",
+    "FABRIC_KINDS",
+    "athlon_node",
+]
 
 #: supported ``ClusterSpec.fabric`` values, alphabetical
-FABRIC_KINDS = ("aggregate", "fattree", "torus", "wire")
+FABRIC_KINDS = ("aggregate", "fattree", "torus")
+#: ``ClusterSpec.fabric`` when none is given: the prototype's one-switch star
+DEFAULT_FABRIC = "aggregate"
 
 _FABRIC_BUILDERS = {
-    "wire": build_star,
     "aggregate": build_aggregate_star,
     "fattree": build_fattree,
     "torus": build_torus,
@@ -109,11 +117,10 @@ class ClusterSpec:
     #: fault-injection scenario; ``None`` (or an all-default spec) keeps
     #: the ideal fabric with zero extra hooks installed
     faults: Optional[FaultSpec] = None
-    #: fabric topology/fidelity: ``"wire"`` builds the full per-wire
-    #: star, ``"aggregate"`` the O(ports) busy-until star, ``"fattree"``
-    #: and ``"torus"`` the hierarchical multi-hop models
-    #: (:mod:`repro.net.topology`)
-    fabric: str = "wire"
+    #: fabric topology (:mod:`repro.net.topology`): ``"aggregate"`` is
+    #: the prototype's one-switch star, ``"fattree"`` and ``"torus"``
+    #: the multi-hop models
+    fabric: str = DEFAULT_FABRIC
     #: topology builder keyword options as sorted ``(key, value)`` pairs
     #: (kept hashable so the frozen spec stays usable as a cache key) —
     #: e.g. ``(("oversub", 2),)`` for a 2:1 fat-tree
@@ -138,7 +145,7 @@ class ClusterSpec:
             )
         )
         object.__setattr__(self, "fabric_options", opts)
-        if opts and self.fabric in ("wire", "aggregate"):
+        if opts and self.fabric == "aggregate":
             names = ", ".join(k for k, _ in opts)
             raise ValueError(
                 f"fabric options ({names}) are only valid for hierarchical "
@@ -203,7 +210,7 @@ class Cluster:
         spec: ClusterSpec,
         sim: Simulator,
         nodes: list[Node],
-        switch: Switch | HierarchicalFabric,
+        switch: HierarchicalFabric,
         trace: TraceRecorder,
         streams: RandomStreams,
         fault_plan: Optional[FaultPlan] = None,
@@ -285,18 +292,7 @@ class Cluster:
             **dict(spec.fabric_options),
         )
         if plan is not None and plan.spec.components:
-            install = getattr(switch, "install_component_faults", None)
-            if install is None:
-                names = ", ".join(
-                    c.component for c in plan.spec.components
-                )
-                raise ValueError(
-                    f"fabric {spec.fabric!r} cannot schedule component "
-                    f"faults ({names}): the full wire star has no "
-                    f"failable components (choose from "
-                    f"{', '.join(k for k in FABRIC_KINDS if k != 'wire')})"
-                )
-            install(plan)
+            switch.install_component_faults(plan)
         return cls(spec, sim, nodes, switch, trace, streams, fault_plan=plan)
 
     def run(self, until=None, max_events=None):

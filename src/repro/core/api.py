@@ -219,10 +219,10 @@ class Experiment:
         return self._with(faults=spec)
 
     def fabric(self, kind: str, **options) -> "Experiment":
-        """Fabric topology/fidelity (see
-        :data:`~repro.cluster.builder.FABRIC_KINDS`): ``"wire"`` (full
-        star, the default), ``"aggregate"`` (O(ports) busy-until star),
-        ``"fattree"`` or ``"torus"`` (hierarchical multi-hop models).
+        """Fabric topology (see
+        :data:`~repro.cluster.builder.FABRIC_KINDS`): ``"aggregate"``
+        (the prototype's one-switch star, the default), ``"fattree"`` or
+        ``"torus"`` (hierarchical multi-hop models).
 
         Keyword options parameterize hierarchical topologies::
 

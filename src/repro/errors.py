@@ -69,10 +69,6 @@ class LinkError(NetworkError):
     """Link misconfiguration or use of a down link."""
 
 
-class SwitchError(NetworkError):
-    """Switch port/buffer misconfiguration."""
-
-
 class PacketError(NetworkError):
     """Malformed packet or header."""
 

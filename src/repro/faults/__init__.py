@@ -328,7 +328,8 @@ NO_FAULTS = FaultSpec()
 
 
 class WireFault:
-    """Per-wire link-fault injector (installed via ``Wire.install_fault``).
+    """Per-link fault injector (installed via a fabric uplink's or a
+    :class:`~repro.net.link.Wire`'s ``install_fault``).
 
     Holds its own named random stream, so the decision sequence for one
     wire is a pure function of ``(spec.seed, wire name)`` — independent
@@ -492,12 +493,6 @@ def robustness_counters(cluster) -> dict:
         config_failures=config_failures,
     )
     if plan is not None and plan.spec.components:
-        component_counters = getattr(
-            cluster.switch, "component_counters", None
-        )
-        if component_counters is not None:
-            out["components"] = component_counters()
-        conservation = getattr(cluster.switch, "conservation_counters", None)
-        if conservation is not None:
-            out["conservation"] = conservation()
+        out["components"] = cluster.switch.component_counters()
+        out["conservation"] = cluster.switch.conservation_counters()
     return out

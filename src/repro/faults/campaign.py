@@ -234,7 +234,6 @@ def check_invariants(name: str, entry: dict) -> list[str]:
             cons["frames_delivered"]
             + cons["frames_dropped"]
             + cons["partition_drops"]
-            + cons.get("frames_queued", 0)
         )
         if accounted != cons["frames_in"]:
             failures.append(

@@ -1,4 +1,4 @@
-"""Ethernet substrate: frames, wires, switch, NICs, topology."""
+"""Ethernet substrate: frames, wires, NICs, and the busy-until fabrics."""
 
 from .addresses import BROADCAST, MacAddress
 from .batching import (
@@ -12,11 +12,11 @@ from .fabric import (
     FAST_ETHERNET,
     GIGABIT_ETHERNET,
     NetworkTechnology,
-    build_star,
 )
 from .topology import (
     FatTreeTopology,
     HierarchicalFabric,
+    PortStats,
     StarTopology,
     TorusTopology,
     build_aggregate_star,
@@ -24,7 +24,7 @@ from .topology import (
     build_torus,
     torus_dims,
 )
-from .link import Link, Wire
+from .link import Wire
 from .nic import NICStats, StandardNIC
 from .packet import (
     ETHERNET_MTU,
@@ -34,7 +34,6 @@ from .packet import (
     Frame,
     wire_bytes,
 )
-from .switch import PortStats, Switch
 
 __all__ = [
     "BROADCAST",
@@ -53,18 +52,15 @@ __all__ = [
     "Frame",
     "GIGABIT_ETHERNET",
     "IP_TCP_HEADERS",
-    "Link",
     "MIN_FRAME_PAYLOAD",
     "MacAddress",
     "NICStats",
     "NetworkTechnology",
     "PortStats",
     "StandardNIC",
-    "Switch",
     "Wire",
     "build_aggregate_star",
     "build_fattree",
-    "build_star",
     "build_torus",
     "torus_dims",
     "wire_bytes",

@@ -33,8 +33,8 @@ number:
   or packets a sender emits as one frame).  Open-loop senders (the
   INIC's planned transfers) absorb the whole tolerance as a one-off
   pipeline-fill artifact.
-* ``WIRE_BATCH`` governs in-flight train merging at switch output
-  ports and NIC TX rings.  That path sits inside TCP's ACK feedback
+* ``WIRE_BATCH`` governs in-flight train merging in NIC TX rings.
+  That path sits inside TCP's ACK feedback
   loop, where per-hop delay compounds (a delayed delivery delays the
   ACK, which delays the window growth that gates the next burst), so
   its tolerance is kept well under the fabric's ACK-clock round trip.
@@ -100,7 +100,7 @@ class BatchPolicy:
 #: docs/performance.md) while letting the INIC reach window/4 chunks
 DEFAULT_BATCH = BatchPolicy()
 
-#: wire-level train merging default (switch ports, NIC TX rings): this
+#: in-flight train merging default (NIC TX rings): this
 #: path is inside TCP's ACK feedback loop, so the per-hop delay budget
 #: stays a small fraction of the fabric round trip
 WIRE_BATCH = BatchPolicy(timing_tolerance=30e-6, max_quantum=64)

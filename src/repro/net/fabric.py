@@ -1,53 +1,30 @@
-"""Topology builder: the cluster's switched-star Ethernet fabric.
+"""Shared fabric pieces: network technologies and the station contract.
 
 The prototype (Section 5) is a star: every node's NIC plugs into one
-switch.  ``build_star`` wires any set of frame devices (standard NICs or
-INIC cards) to a freshly created switch and installs static forwarding.
+switch.  The fabrics themselves live in :mod:`repro.net.topology`
+(:func:`~repro.net.topology.build_aggregate_star` for that star, plus
+the fat-tree and torus); this module holds what they share — the
+line-rate bundles (:data:`GIGABIT_ETHERNET`, :data:`FAST_ETHERNET`),
+the station precondition, and each station's TX handle.
 
 Device contract: ``attach_wire(wire)`` (device transmits on it) and
 ``receive_frame(frame)`` (device terminates the downlink).
-
-Two fidelity levels share that contract:
-
-``build_star``
-    The full model — one :class:`~repro.net.link.Wire` pair per station
-    plus an output-queued :class:`~repro.net.switch.Switch`.  Every hop
-    is its own object with its own timed callbacks.
-
-:func:`~repro.net.topology.build_aggregate_star`
-    The scale-out model (``Scale.large``, 32-128 nodes) — a
-    :class:`~repro.net.topology.HierarchicalFabric` over the one-switch
-    :class:`~repro.net.topology.StarTopology`, which folds uplink
-    serialization, the forwarding decision, and per-output-port
-    queueing into busy-until arithmetic on two floats per port.  A
-    frame costs exactly one timed callback end to end instead of the
-    full model's four; contention and tail drop are still modelled per
-    port, so congestion curves keep their shape (see
-    docs/performance.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence, TYPE_CHECKING
+from typing import Protocol, Sequence
 
 from ..errors import NetworkError
-from ..sim.engine import Simulator
 from ..units import gbps, mbps
 from .addresses import MacAddress
-from .batching import BatchPolicy, WIRE_BATCH
-from .link import Wire
 from .packet import Frame
-from .switch import Switch
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults import FaultPlan
 
 __all__ = [
     "NetworkTechnology",
     "FAST_ETHERNET",
     "GIGABIT_ETHERNET",
-    "build_star",
     "validate_stations",
 ]
 
@@ -96,7 +73,7 @@ GIGABIT_ETHERNET = NetworkTechnology(
 class FrameDevice(Protocol):
     """A station: transmits on an uplink, terminates a downlink."""
 
-    def attach_wire(self, wire: Wire) -> None:  # pragma: no cover - protocol
+    def attach_wire(self, wire: "_AggregateUplink") -> None:  # pragma: no cover
         ...
 
     def receive_frame(self, frame: Frame) -> None:  # pragma: no cover - protocol
@@ -166,57 +143,6 @@ class _AggregateUplink:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<AggregateUplink {self.name!r} port={self.port}>"
-
-
-def build_star(
-    sim: Simulator,
-    stations: Sequence[tuple[MacAddress, FrameDevice]],
-    tech: NetworkTechnology = GIGABIT_ETHERNET,
-    batch: BatchPolicy = WIRE_BATCH,
-    name: str = "fabric",
-    faults: Optional["FaultPlan"] = None,
-) -> Switch:
-    """Wire ``stations`` to a new switch; returns the switch.
-
-    Each station gets a dedicated full-duplex link at ``tech.bandwidth``.
-    ``batch`` sets the switch's frame-train coalescing policy (pass
-    ``PER_FRAME`` for per-frame fidelity runs).  A ``faults`` plan
-    installs per-wire link-fault injectors (on matching wire names) and
-    applies forced switch-buffer pressure.
-    """
-    validate_stations(stations)
-
-    buffer_bytes = tech.switch_buffer_per_port
-    if faults is not None:
-        buffer_bytes = faults.switch_buffer(buffer_bytes)
-    switch = Switch(
-        sim,
-        n_ports=len(stations),
-        buffer_bytes_per_port=buffer_bytes,
-        forwarding_latency=tech.switch_latency,
-        batch=batch,
-        name=f"{name}.switch",
-    )
-    for port, (addr, device) in enumerate(stations):
-        uplink = Wire(
-            sim, tech.bandwidth, tech.propagation_delay, name=f"{name}.up{port}"
-        )
-        uplink.attach(switch.ingress_sink(port))
-        device.attach_wire(uplink)
-
-        downlink = Wire(
-            sim, tech.bandwidth, tech.propagation_delay, name=f"{name}.down{port}"
-        )
-        downlink.attach(device)
-        switch.attach_output(port, downlink)
-
-        switch.learn(addr, port)
-        if faults is not None:
-            for wire in (uplink, downlink):
-                wf = faults.wire_fault(wire.name)
-                if wf is not None:
-                    wire.install_fault(wf)
-    return switch
 
 
 def __getattr__(name: str):

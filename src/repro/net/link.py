@@ -1,12 +1,13 @@
-"""Point-to-point wires and full-duplex links.
+"""Point-to-point wires.
 
-A :class:`Wire` is one direction: frames are serialized FIFO at the line
-rate, then delivered to the sink after a propagation delay.  A
-:class:`Link` is a pair of wires (full duplex, as both Fast and Gigabit
-Ethernet are in switched mode).
+A :class:`Wire` is one direction of a link: frames are serialized FIFO
+at the line rate, then delivered to the sink after a propagation delay.
+It connects two stations directly (no switch); the switched fabrics of
+:mod:`repro.net.topology` fold their links into busy-until clocks and
+hand stations a TX handle with the same ``send`` surface.
 
-Sinks implement ``receive_frame(frame)``; anything — NIC, switch port,
-INIC MAC — can terminate a wire.
+Sinks implement ``receive_frame(frame)``; anything — NIC or INIC MAC —
+can terminate a wire.
 
 Fault injection: a wire may carry a :class:`~repro.faults.WireFault`
 injector (installed by the cluster builder when the scenario's
@@ -19,13 +20,13 @@ pre-fault-subsystem one.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 from ..errors import LinkError
 from ..sim.engine import Simulator
 from .packet import Frame
 
-__all__ = ["FrameSink", "Wire", "Link"]
+__all__ = ["FrameSink", "Wire"]
 
 
 class FrameSink(Protocol):
@@ -85,7 +86,7 @@ class Wire:
         Serialization is FIFO at line rate; delivery happens
         serialization + propagation later.  The caller does not block —
         backpressure, if desired, is the *sender's* job (NICs block on
-        their TX ring, switches drop on full buffers).
+        their TX ring).
         """
         sink = self.sink
         if self.fault is not None:
@@ -130,34 +131,3 @@ class Wire:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Wire {self.name!r} {self.bandwidth:g} B/s>"
-
-
-class Link:
-    """A full-duplex link: two wires between stations A and B."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        bandwidth: float,
-        propagation_delay: float = 0.0,
-        name: str = "link",
-    ):
-        self.sim = sim
-        self.name = name
-        self.a_to_b = Wire(sim, bandwidth, propagation_delay, name=f"{name}.a>b")
-        self.b_to_a = Wire(sim, bandwidth, propagation_delay, name=f"{name}.b>a")
-
-    @property
-    def bandwidth(self) -> float:
-        return self.a_to_b.bandwidth
-
-    def attach_a(self, sink: FrameSink) -> None:
-        """``sink`` receives frames travelling B -> A."""
-        self.b_to_a.attach(sink)
-
-    def attach_b(self, sink: FrameSink) -> None:
-        """``sink`` receives frames travelling A -> B."""
-        self.a_to_b.attach(sink)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Link {self.name!r} {self.bandwidth:g} B/s full-duplex>"

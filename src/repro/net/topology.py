@@ -3,18 +3,16 @@
 :class:`HierarchicalFabric` folds every contention point into a
 ``busy_until`` float clock: a frame's route is a short tuple of clock
 indices, each hop is a few float operations, and delivery is a single
-pooled ``call_after``.  The full per-wire star
-(:func:`~repro.net.fabric.build_star`) spends four timed callbacks per
-frame; here a frame costs one end to end, and a 1024-node alltoall
-costs the same events per frame as an 8-node star.
+pooled ``call_after``.  A frame costs one timed callback end to end, and
+a 1024-node alltoall costs the same events per frame as an 8-node star.
 
 Topologies
 ----------
 :class:`StarTopology`
     The prototype's single switch (Section 5), behind
-    ``fabric("aggregate")`` / :func:`build_aggregate_star`: every route
-    is the destination's egress port, so the only contention points are
-    each station's uplink and each output port's drain rate.
+    ``fabric("aggregate")`` (the default) / :func:`build_aggregate_star`:
+    every route is the destination's egress port, so the only contention
+    points are each station's uplink and each output port's drain rate.
 
 :class:`FatTreeTopology`
     Two-level leaf/spine Clos.  Stations attach to leaves;
@@ -32,20 +30,35 @@ Topologies
 
 Timing model (and where it approximates)
 ----------------------------------------
-The end-to-end *base* latency of every path is kept identical to the
-full wire star's: uplink serialization + one propagation + one forwarding
-decision + one egress serialization + one propagation.  Intermediate
-hops are *contention-only*: crossing a busy inter-switch link waits for
-the link clock (FIFO, line-rate spacing) but an idle one is crossed for
-free — cut-through with zero per-hop latency.  Inter-switch links are
-lossless (credit-based link-level flow control, as on APEnet+'s torus
-links and InfiniBand-style Clos fabrics), so congestion there is
-queueing delay, never silent loss; only the final egress port keeps the
-star's Ethernet tail-drop semantics.
-That is deliberate: at low load every topology reproduces the wire
-star's arrival times byte-for-byte (the equivalence anchor,
+The end-to-end *base* latency of every path is the star's: uplink
+serialization + one propagation + one forwarding decision + one egress
+serialization + one propagation.  Intermediate hops are
+*contention-only*: crossing a busy inter-switch link waits for the link
+clock (FIFO, line-rate spacing) but an idle one is crossed for free —
+cut-through with zero per-hop latency.  Inter-switch links are lossless
+(credit-based link-level flow control, as on APEnet+'s torus links and
+InfiniBand-style Clos fabrics), so congestion there is queueing delay,
+never silent loss; only the final egress port keeps the star's Ethernet
+tail-drop semantics.  That is deliberate: at low load every topology
+delivers each frame at the star's closed-form arrival time, float for
+float (the equivalence anchor,
 ``tests/test_identities.py::test_low_load_arrivals_match_wire_star``),
 and under load the extra contention points shape the curves.
+
+Star semantics under load
+-------------------------
+The egress port is a busy-until clock, so two choices are fixed by the
+arithmetic rather than by an explicit queue:
+
+* **Reservation order.**  A frame reserves its egress port when it is
+  *sent* (at uplink admission), not when it reaches the switch.  A
+  frame sent behind a backlogged uplink therefore holds its egress
+  slot ahead of frames that are sent later from idle uplinks but reach
+  the switch first.
+* **Residual buffer accounting.**  The tail-drop test charges the
+  port's *remaining* backlog, ``(busy_until - arrival) * bandwidth``,
+  plus the new frame.  A coalesced frame train frees its bytes as they
+  drain, not all at once when its last frame leaves.
 """
 
 from __future__ import annotations
@@ -64,12 +77,12 @@ from .fabric import (
     validate_stations,
 )
 from .packet import Frame
-from .switch import PortStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults import FaultPlan
 
 __all__ = [
+    "PortStats",
     "StarTopology",
     "FatTreeTopology",
     "TorusTopology",
@@ -79,6 +92,17 @@ __all__ = [
     "build_torus",
     "torus_dims",
 ]
+
+
+class PortStats:
+    """Per-clock counters: one output port or inter-switch link."""
+
+    def __init__(self) -> None:
+        self.frames_forwarded = 0
+        self.frames_dropped = 0
+        self.bytes_forwarded = 0.0
+        self.bytes_dropped = 0.0
+        self.max_queue_bytes = 0.0
 
 
 class StarTopology:
@@ -525,11 +549,10 @@ class HierarchicalFabric:
     frame would exceed the port buffer (unless the topology is
     ``lossless``), and delivery one propagation after ``done``, as a
     single pooled ``call_after``.  Frame trains arrive pre-coalesced by
-    the sending NIC's batch policy; the full switch's in-switch train
-    merging is absent (it exists to cut events, and here a frame
-    already costs one).
+    the sending NIC's batch policy; there is no in-switch train merging
+    (a frame already costs one callback).
 
-    The statistics surface matches :class:`~repro.net.switch.Switch`
+    Every fabric kind shares one statistics surface
     (``total_dropped``/``port_stats``/telemetry names), so runners and
     instruments work unchanged on every fabric: ``port_stats(i)``
     resolves to station ``i``'s egress clock, and per-switch counters
@@ -972,8 +995,8 @@ class HierarchicalFabric:
         return sum(s.bytes_dropped for s in self._stats)
 
     def total_forwarded(self) -> int:
-        """Frames delivered to stations (egress-clock count, matching
-        the wire star; intermediate hops are not re-counted)."""
+        """Frames delivered to stations (egress-clock count;
+        intermediate hops are not re-counted)."""
         return sum(
             self._stats[c].frames_forwarded for c in set(self._egress_clock)
         )
@@ -991,11 +1014,14 @@ class HierarchicalFabric:
     def register_telemetry(self, registry, prefix: str) -> None:
         """Fabric-wide, per-station-port, and per-switch instruments.
 
-        Keeps the wire star's naming for the shared surface
-        (``<prefix>.forwarded`` / ``.drops`` / ``.port<i>.*``) and adds
-        ``<prefix>.hops``, ``<prefix>.sw.<switch>.*`` aggregates.  All
-        pull-based: registration costs nothing on the data path.
+        Names the shared surface ``<prefix>.forwarded`` / ``.drops`` /
+        ``.port<i>.*`` on every topology and adds
+        ``<prefix>.hops``, ``<prefix>.sw.<switch>.*`` aggregates.  A
+        port's ``busy_time`` is its egress serialization time
+        (forwarded bytes at line rate).  All pull-based: registration
+        costs nothing on the data path.
         """
+        bandwidth = self.bandwidth
         registry.counter(f"{prefix}.drops", self.total_dropped)
         registry.counter(f"{prefix}.forwarded", self.total_forwarded)
         registry.counter(f"{prefix}.hops", lambda: self._hops_total)
@@ -1013,6 +1039,9 @@ class HierarchicalFabric:
             )
             registry.gauge(
                 f"{p}.max_queue_bytes", lambda s=stats: s.max_queue_bytes, unit="B"
+            )
+            registry.busy(
+                f"{p}.busy_time", lambda s=stats: s.bytes_forwarded / bandwidth
             )
         for switch, clocks in self.topology.switches():
             p = f"{prefix}.sw.{switch}"
@@ -1094,18 +1123,15 @@ def build_aggregate_star(
     name: str = "fabric",
     faults: Optional["FaultPlan"] = None,
 ) -> HierarchicalFabric:
-    """Wire ``stations`` to a one-switch :class:`StarTopology`.
+    """Wire ``stations`` to a one-switch :class:`StarTopology`: the
+    prototype's fabric and ``ClusterSpec.fabric``'s default.
 
-    The O(ports) alternative to :func:`~repro.net.fabric.build_star`
-    for scale-out runs.
-
-    A ``faults`` plan installs per-uplink link-fault injectors (the
-    uplinks carry the same ``<name>.up<port>`` names as the full star's
-    wires, so a spec's ``wires`` pattern selects the same links) and
+    A ``faults`` plan installs per-uplink link-fault injectors (named
+    ``<name>.up<port>``, which a spec's ``wires`` pattern selects) and
     applies forced switch-buffer pressure.  There are no downlink
-    objects: a downlink fault in the full model and an uplink fault
-    here both cost the sender one lost transfer, so the uplink stream
-    is where all link faults are drawn.
+    objects: a lost downlink transfer and a lost uplink transfer both
+    cost the sender one transfer, so the uplink stream is where all
+    link faults are drawn.
     """
     return _build_hierarchical(
         sim, stations, StarTopology(len(stations)), tech, name, faults

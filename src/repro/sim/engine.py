@@ -38,8 +38,8 @@ Fast path
 The hot loop of every figure sweep is ``run()`` popping millions of
 events, most of which are one of two shapes:
 
-* a bare timed callback (wire deliveries, bus completions, switch
-  forwarding) — represented by a pooled, closure-free :class:`_Callback`
+* a bare timed callback (fabric deliveries, bus completions) —
+  represented by a pooled, closure-free :class:`_Callback`
   heap entry created with :meth:`Simulator.call_after`, which never
   allocates an :class:`Event` at all;
 * an anonymous ``yield sim.sleep(dt)`` inside a model process —
@@ -595,7 +595,7 @@ class Simulator:
         The fast-path variant of :meth:`schedule_callback`: nothing can
         wait on the result, no :class:`Event` is allocated, and the
         scheduler entry is recycled through a free list.  This is what
-        the wire, switch, and bus models use for their per-frame timed
+        the fabric and bus models use for their per-frame timed
         callbacks.  Returns an opaque handle accepted by
         :meth:`cancel_callback`.
         """

@@ -11,12 +11,11 @@ prefix                                component
 ``node{r}.pci``                       the node's host-side I/O bus (see note)
 ``node{r}.irq``                       interrupt delivery to the host CPU
 ``node{r}.nic``                       standard NIC (+ ``.txdma``/``.rxdma``,
-                                      ``.uplink`` wire)
+                                      ``.uplink``)
 ``node{r}.tcp``                       host TCP stack
 ``node{r}.inic``                      INIC card (+ ``.bus`` or per-direction
-                                      buses, ``.fpga``, ``.uplink`` wire)
+                                      buses, ``.fpga``, ``.uplink``)
 ``switch`` / ``switch.port{p}``       the fabric switch and its output ports
-                                      (+ ``.wire`` downlink)
 ====================================  =======================================
 
 PCI note: on a standard node, payloads DMA across the node's own PCI bus,

@@ -4,7 +4,7 @@ The paper's figures are decompositions of run time; the timeline is the
 same decomposition generalized: one *phase track* per span name (the
 application's ``fft-compute`` / ``transpose-comm`` / ``inic-exchange``
 phases, with their real intervals) and one *component track* per busy
-instrument (``node0.pci``, ``switch.port2.wire``, ...) carrying its
+instrument (``node0.pci``, ``switch.port2``, ...) carrying its
 accumulated busy time and utilization over the run.
 
 Built after a run from the cluster's :class:`~repro.sim.trace.TraceRecorder`

@@ -2,8 +2,9 @@
 
 The aggregate fabric is the O(ports) busy-until model behind
 ``ClusterSpec.fabric == "aggregate"``: a :class:`HierarchicalFabric`
-over the one-switch :class:`StarTopology`.  These tests pin its timing
-against the full wire star, its tail-drop accounting, and its
+over the one-switch :class:`StarTopology`, and ``ClusterSpec``'s default
+fabric.  These tests pin its timing against the star's closed form
+(``tests/star_oracle.py``), its tail-drop accounting, and its
 per-uplink fault injection.
 """
 
@@ -23,10 +24,10 @@ from repro.net import (
     MacAddress,
     StarTopology,
     build_aggregate_star,
-    build_star,
 )
 from repro.net.topology import build_fattree, build_torus
 from repro.sim import Simulator
+from tests.star_oracle import lone_frame_arrival
 
 
 class Station:
@@ -56,20 +57,18 @@ def make_fabric(n=3, tech=GIGABIT_ETHERNET, builder=build_aggregate_star):
 
 
 def test_unicast_timing_matches_wire_star():
-    """An uncontended frame arrives at the identical simulated time on
-    both fidelity levels."""
-    arrivals = {}
-    for builder in (build_star, build_aggregate_star):
-        sim, stations, addrs, fabric = make_fabric(builder=builder)
-        stations[0].send(Frame(addrs[0], addrs[2], payload_bytes=1500, headers=40))
-        sim.run()
-        assert len(stations[2].got) == 1
-        assert stations[1].got == []
-        arrivals[builder.__name__] = stations[2].got[0][1]
+    """An uncontended frame arrives at the star's closed-form time
+    (:func:`tests.star_oracle.lone_frame_arrival`), float for float."""
+    sim, stations, addrs, fabric = make_fabric()
+    frame = Frame(addrs[0], addrs[2], payload_bytes=1500, headers=40)
+    stations[0].send(frame)
+    sim.run()
+    assert len(stations[2].got) == 1
+    assert stations[1].got == []
     assert isinstance(fabric, HierarchicalFabric)
     assert fabric.topology.kind == "star"
     assert fabric.hop_stats()["max_hops"] == 1
-    assert arrivals["build_star"] == arrivals["build_aggregate_star"]
+    assert stations[2].got[0][1] == lone_frame_arrival(0.0, frame.wire_size)
 
 
 def test_output_port_serializes_two_senders():
@@ -135,7 +134,7 @@ def make_fault_fabric(spec, n=3):
 
 def test_fault_plan_installs_per_uplink_injectors():
     """A fault plan composes with the aggregate fabric: losses are drawn
-    from the same named per-uplink streams the full wire star uses."""
+    from named per-uplink streams (``fabric.up<i>``)."""
     spec = FaultSpec(loss_rate=0.5, seed=11)
     sim, stations, addrs, fabric, plan = make_fault_fabric(spec)
     n = 100
@@ -145,8 +144,8 @@ def test_fault_plan_installs_per_uplink_injectors():
     counters = plan.link_counters()
     assert counters["frames_dropped"] > 0
     assert len(stations[1].got) == n - counters["frames_dropped"]
-    # The stream is per-uplink and named like the wire star's uplinks:
-    # same seed, same name => identical decision sequence.
+    # The stream is per-uplink and named after the uplink: same seed,
+    # same name => identical decision sequence.
     ref = WireFault(spec, "fabric.up0")
     got = [d for _, d, _ in plan.schedule()["fabric.up0"]]
     want = []
@@ -222,6 +221,8 @@ def test_unknown_destination_raises():
 
 
 def test_telemetry_surface_matches_switch_naming():
+    """The star registers under the ``switch.*`` names the cluster
+    instruments (``switch.forwarded``, ``switch.port<i>.*``)."""
     from repro.telemetry import MetricsRegistry
 
     sim, stations, addrs, fabric = make_fabric(n=2)
@@ -234,6 +235,10 @@ def test_telemetry_surface_matches_switch_naming():
     assert snap["switch.drops"] == 0
     assert snap["switch.port1.frames"] == 1
     assert snap["switch.port1.bytes"] > 500
+    # the egress port's busy time is its serialization time
+    assert snap["switch.port1.busy_time"] == pytest.approx(
+        snap["switch.port1.bytes"] / GIGABIT_ETHERNET.bandwidth
+    )
 
 
 # -- bulk flow-clock admission (repro.net.flowclock) ------------------------
@@ -307,6 +312,30 @@ def test_train_length_mismatch_rejected():
         fabric.uplink(0).send_train([frame], [0.0, 1.0])
 
 
+def _guard_failover_drops(fabric) -> None:
+    """Wrap ``fabric._route_deliver`` so every frame blackholed at a dead
+    clock is checked: the dead clock and every clock past it on the
+    route keep their busy-until and forwarded counts."""
+    deliver = fabric._route_deliver
+
+    def checked(src_port, dst_port, frame, arrival, tx_time):
+        busy = list(fabric._clock_busy)
+        forwarded = [s.frames_forwarded for s in fabric._stats]
+        drops = fabric._failover_drops
+        out = deliver(src_port, dst_port, frame, arrival, tx_time)
+        if fabric._failover_drops > drops:
+            hops = fabric._routes[fabric._key_base[src_port] + dst_port]
+            dead = next(
+                i for i, k in enumerate(hops) if k in fabric._failed_clocks
+            )
+            for k in hops[dead:]:
+                assert fabric._clock_busy[k] == busy[k]
+                assert fabric._stats[k].frames_forwarded == forwarded[k]
+        return out
+
+    fabric._route_deliver = checked
+
+
 class _TrainStation(Station):
     """A station that also takes delivery groups from bulk admission."""
 
@@ -364,7 +393,8 @@ def test_star_conserves_frames_under_random_schedules(
     delivered or dropped.  Some frames go as trains through
     ``send_train`` (bulk admission, delivered in groups), and an
     optional component window fails one of the fabric's failable
-    components, so a route can die at any of its hops."""
+    components, so a route can die at any of its hops; a frame dropped
+    there must leave the dead clock and every clock past it untouched."""
     sim = Simulator()
     stations = [_TrainStation(sim) for _ in range(4)]
     addrs = [MacAddress(i) for i in range(4)]
@@ -372,6 +402,7 @@ def test_star_conserves_frames_under_random_schedules(
         GIGABIT_ETHERNET, switch_buffer_per_port=buffer_frames * 1538.0
     )
     fabric = builder(sim, list(zip(addrs, stations)), tech=tech)
+    _guard_failover_drops(fabric)
     if window is not None:
         pick, start, duration, detect = window
         components = fabric_components(kind, 4)

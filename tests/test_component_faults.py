@@ -20,7 +20,6 @@ Pins the tentpole contracts of the switch/uplink failure model:
 
 import pytest
 
-from repro.cluster.builder import Cluster, ClusterSpec
 from repro.errors import NetworkError
 from repro.faults import ComponentFaultSpec, FaultPlan, FaultSpec
 from repro.net import Frame, MacAddress, build_aggregate_star
@@ -69,12 +68,8 @@ def frame(addrs, src, dst, payload=1500, count=1):
 
 def ledger_balances(fabric) -> bool:
     c = fabric.conservation_counters()
-    queued = c.get("frames_queued", 0)
     return c["frames_in"] == (
-        c["frames_delivered"]
-        + c["frames_dropped"]
-        + c["partition_drops"]
-        + queued
+        c["frames_delivered"] + c["frames_dropped"] + c["partition_drops"]
     )
 
 
@@ -165,6 +160,40 @@ def test_failover_drop_accounting_weights_frame_trains():
     sim.run(until=1e-3)
     assert fabric.component_counters()["failover_drops"] == 3
     assert fabric.total_dropped() == 3
+    assert ledger_balances(fabric)
+
+
+def test_mid_route_failover_drop_leaves_later_clocks_untouched():
+    """A frame blackholed at a dead spine walks only the hops before it:
+    the dead clock and every clock past it keep their busy-until and
+    their forwarded counts, so a frame crossing the same clocks just
+    after repair arrives exactly when it would have on a fabric that
+    never failed."""
+    # n=16: 4 leaves x 4 ports, 4 spines; dst=5 hashes to spine 1.
+    # Detection never fires inside the 5 us window: the frame is dropped.
+    sim, stations, addrs, fabric = make_fabric(
+        build_fattree,
+        components=(ComponentFaultSpec("spine1", windows=((0.0, 5e-6),)),),
+        detection_delay=1e-3,
+    )
+    up, spine_down, egress = fabric.topology.route(0, 5)
+    stations[0].send(frame(addrs, 0, 5))
+    assert fabric.component_counters()["failover_drops"] == 1
+    assert fabric._clock_busy[up] > 0.0  # the live hop was crossed
+    for clock in (spine_down, egress):
+        assert fabric._clock_busy[clock] == 0.0
+        assert fabric.clock_stats(clock).frames_forwarded == 0
+    assert fabric.clock_stats(spine_down).frames_dropped == 1
+    # After repair (5 us), a frame from another leaf crosses the same
+    # spine downlink while the dropped frame would still occupy it.
+    sim.call_after(6e-6, stations[8].send, frame(addrs, 8, 5))
+    sim.run()
+    assert len(stations[5].got) == 1
+
+    ref_sim, ref_stations, ref_addrs, _ = make_fabric(build_fattree)
+    ref_sim.call_after(6e-6, ref_stations[8].send, frame(ref_addrs, 8, 5))
+    ref_sim.run()
+    assert stations[5].got[0][1] == ref_stations[5].got[0][1]
     assert ledger_balances(fabric)
 
 
@@ -297,19 +326,6 @@ def test_faulted_runs_are_deterministic():
 
 
 # -- loud rejection ----------------------------------------------------------
-
-
-def test_wire_star_rejects_component_faults():
-    spec = ClusterSpec(
-        n_nodes=4,
-        faults=FaultSpec(
-            components=(
-                ComponentFaultSpec("up0", windows=((0.0, 1e-3),), kind="uplink"),
-            )
-        ),
-    )
-    with pytest.raises(ValueError, match="choose from"):
-        Cluster.build(spec)
 
 
 def test_aggregate_rejects_switch_components():

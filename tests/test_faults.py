@@ -425,7 +425,53 @@ def test_zero_fault_runner_results_keep_legacy_shape():
     res = _run_sort_des(
         {"e_init": 1 << 14, "p": 2, "card": "aceii-prototype", "seed": 2}
     )
-    assert set(res) == {"makespan", "events"}  # bit-identical legacy path
+    # no fault counters on the zero-fault path; every fabric reports hops
+    assert set(res) == {"makespan", "events", "hops"}
+
+
+def test_fault_suite_runs_the_lossy_plan_once_per_fabric():
+    """The default star already runs the largest loss rate as a
+    loss-rate row, so the fabric rows cover only the other topologies."""
+    from repro.bench.harness import Scale
+    from repro.bench.sweep import fault_points
+
+    names = [s.name for s in fault_points(Scale.ci())]
+    assert names == [
+        "sort-faults-loss0",
+        "sort-faults-loss0.001",
+        "sort-faults-loss0.01",
+        "sort-faults-fpga",
+        "sort-faults-fattree",
+        "sort-faults-torus",
+    ]
+
+
+def test_figfaults_leaves_aborted_points_off_the_makespan_curve():
+    """An aborted transfer's makespan is its abort time: figfaults flags
+    the point instead of plotting it as a completion."""
+    from repro.bench.figures import _figfaults_build, _figfaults_specs
+    from repro.bench.harness import Scale
+    from repro.bench.sweep import PointResult
+
+    scale = Scale.ci()
+    values = {
+        0.0: {"makespan": 0.01, "events": 1},
+        0.001: {"makespan": 0.02, "events": 1, "aborted": False,
+                "faults": {"retransmits": 3, "frames_dropped": 4}},
+        0.01: {"makespan": 2.5, "events": 1, "aborted": True,
+               "faults": {"retransmits": 8, "frames_dropped": 90}},
+    }
+    results = {
+        spec.name: PointResult(spec, values[rate], 0.0, 1, False)
+        for spec, rate in zip(_figfaults_specs(scale), scale.loss_rates)
+    }
+    exp = _figfaults_build(scale, results)
+    makespan = exp.series_named("INIC sort makespan (s)")
+    assert makespan.x == [0.0, 0.001]
+    assert makespan.y == [0.01, 0.02]
+    assert exp.series_named("aborted").y == [0.0, 0.0, 1.0]
+    assert exp.series_named("retransmits").y == [0.0, 3.0, 8.0]
+    assert any("aborted" in note and "0.01" in note for note in exp.notes)
 
 
 def test_fault_suite_zero_loss_point_shares_perf_identity():

@@ -15,7 +15,7 @@ from repro.net import (
     MacAddress,
     PER_FRAME,
     StandardNIC,
-    build_star,
+    build_aggregate_star,
 )
 from repro.protocols import TCPConfig, TCPStack
 from repro.sim import FairShareBus, Simulator
@@ -33,9 +33,7 @@ def build_pair(tcp_config, batch=DEFAULT_BATCH):
         )
         stacks.append(TCPStack(sim, nic, cpu, config=tcp_config, name=f"tcp{i}"))
         nics.append(nic)
-    switch = build_star(
-        sim, [(MacAddress(i), nics[i]) for i in range(2)], batch=batch
-    )
+    switch = build_aggregate_star(sim, [(MacAddress(i), nics[i]) for i in range(2)])
     return sim, stacks, nics, switch
 
 
@@ -135,7 +133,7 @@ def test_switch_conserves_frames_without_drops():
     rng = np.random.default_rng(4)
     stations = [Sink() for _ in range(4)]
     addrs = [MacAddress(i) for i in range(4)]
-    switch = build_star(
+    switch = build_aggregate_star(
         sim, list(zip(addrs, stations)), tech=GIGABIT_ETHERNET
     )
     sent = 0

@@ -12,7 +12,9 @@ stated, gated bound:
   ``async`` twin against its generator original, under every scheduler
   kind;
 * ``test_low_load_arrivals_match_wire_star`` — every busy-until fabric
-  against the full per-wire star, arrival float for arrival float;
+  against the star's closed-form lone-frame arrival
+  (``tests/star_oracle.py``: uplink wire, forwarding decision, egress
+  wire), arrival float for arrival float;
 * ``test_bulk_admission_matches_frame_level`` — bulk flow-clock train
   admission against frame-level sends: arrivals, conservation ledger
   and fault log; ``..._on_random_trains`` holds it on random train
@@ -34,10 +36,11 @@ from repro.apps import netbench
 from repro.bench.harness import Scale
 from repro.bench.sweep import _RUNNERS, perf_points, scale_points
 from repro.faults import FaultSpec, WireFault
-from repro.net import Frame, MacAddress, build_aggregate_star, build_star
+from repro.net import Frame, MacAddress, build_aggregate_star
 from repro.net.topology import build_fattree, build_torus
 from repro.sim import Simulator, engine
 from repro.sim.sched import SCHEDULER_KINDS
+from tests.star_oracle import lone_frame_arrival
 
 
 def _traced(fn, kind: str):
@@ -154,17 +157,16 @@ def _arrivals(stations) -> list:
     return sorted(got for st in stations for got in st.got)
 
 
-# -- fabrics: busy-until vs the full per-wire star ---------------------------
+# -- fabrics: busy-until vs the star's closed form ---------------------------
 LOW_LOAD_N = 64
 LOW_LOAD_FRAMES = 512
 LOW_LOAD_GAP = 1e-3  # >> any serialization time at 1 Gb/s
 
 
-def _low_load(builder, **opts):
-    """Scattered transfers ``LOW_LOAD_GAP`` apart, so no two ever share
-    an uplink, a link clock or an egress port; returns
-    ``(sorted arrivals, fabric)``."""
-    sim, stations, addrs, fabric = _wire(builder, LOW_LOAD_N, **opts)
+def _low_load_frames(addrs) -> list:
+    """``(send time, frame)`` pairs ``LOW_LOAD_GAP`` apart, so no two
+    ever share an uplink, a link clock or an egress port."""
+    out = []
     for i in range(LOW_LOAD_FRAMES):
         src = (i * 7) % LOW_LOAD_N
         dst = (i * 13 + 5) % LOW_LOAD_N
@@ -173,14 +175,28 @@ def _low_load(builder, **opts):
         frame = Frame(
             addrs[src], addrs[dst], payload_bytes=64 + (i * 191) % 1400, headers=8
         )
-        sim.call_after(i * LOW_LOAD_GAP, stations[src].wire.send, frame)
+        out.append((i * LOW_LOAD_GAP, frame))
+    return out
+
+
+def _low_load(builder, **opts):
+    """The low-load schedule through ``builder``'s fabric; returns
+    ``(sorted arrivals, fabric)``."""
+    sim, stations, addrs, fabric = _wire(builder, LOW_LOAD_N, **opts)
+    for at, frame in _low_load_frames(addrs):
+        sim.call_after(at, stations[frame.src.value].wire.send, frame)
     sim.run()
     return _arrivals(stations), fabric
 
 
 @cache
 def _wire_star_arrivals() -> list:
-    return _low_load(build_star)[0]
+    """The schedule's arrivals by the closed form, in ``_arrivals`` order."""
+    addrs = [MacAddress(i) for i in range(LOW_LOAD_N)]
+    return sorted(
+        (f.dst.value, lone_frame_arrival(at, f.wire_size), f.payload_bytes)
+        for at, f in _low_load_frames(addrs)
+    )
 
 
 @pytest.mark.parametrize(
@@ -193,10 +209,11 @@ def _wire_star_arrivals() -> list:
     ],
 )
 def test_low_load_arrivals_match_wire_star(builder, opts):
-    """Reference: the full per-wire star (``build_star``).  At low load
-    (n=64, 512 frames) every busy-until fabric must deliver each frame
-    at the identical float time, and the multi-hop fabrics must
-    actually have routed over more than one hop."""
+    """Reference: the star's closed-form lone-frame arrival
+    (:func:`tests.star_oracle.lone_frame_arrival`).  At low load (n=64,
+    512 frames) every busy-until fabric must deliver each frame at the
+    identical float time, and the multi-hop fabrics must actually have
+    routed over more than one hop."""
     arrivals, fabric = _low_load(builder, **opts)
     assert len(arrivals) == LOW_LOAD_FRAMES
     assert arrivals == _wire_star_arrivals()

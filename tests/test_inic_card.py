@@ -20,7 +20,8 @@ from repro.inic.cores import (
     PacketizerCore,
     ReduceCore,
 )
-from repro.net import GIGABIT_ETHERNET, MacAddress, build_star
+from repro.inic.cores.base import CoreSpec, StreamCore
+from repro.net import GIGABIT_ETHERNET, MacAddress, build_aggregate_star
 from repro.protocols import TransferPlan
 from repro.sim import Simulator
 from repro.units import MiB
@@ -39,7 +40,7 @@ def make_cards(n=2, spec=IDEAL_INIC):
         card = INICCard(sim, MacAddress(i), spec=spec, cpu=cpu, name=f"inic{i}")
         cards.append(card)
         cpus.append(cpu)
-    build_star(
+    build_aggregate_star(
         sim, [(MacAddress(i), cards[i]) for i in range(n)], tech=GIGABIT_ETHERNET
     )
     return sim, cards, cpus
@@ -270,3 +271,51 @@ def test_compute_mode_runs_kernel():
     sim.run()
     assert np.array_equal(results["out"], data * 2)
     assert cards[0].stats.completion_interrupts == 1
+
+
+def _slow_core_scatter(fastpath: bool, nbytes: int):
+    """One train scatter of ``nbytes`` on the prototype card with a core
+    slower than its 112 MB/s shared bus; returns ``(sent, done, card)``
+    times relative to the post."""
+    sim, cards, _ = make_cards(spec=ACEII_PROTOTYPE)
+    for card in cards:
+        card.fastpath = fastpath
+    # 0.5 B/cycle at the 50 MHz fabric clock: 25 MB/s
+    slow = StreamCore(CoreSpec("slow", clbs=10, ram_kbits=1, bytes_per_cycle=0.5))
+    design = Design(
+        "slow", [PacketizerCore(), DepacketizerCore(), slow], mode="combined"
+    )
+    t = {}
+
+    def node0():
+        yield from cards[0].configure(design)
+        t["t0"] = sim.now
+        op = cards[0].post_scatter(3, [SendBlock(MacAddress(1), nbytes)], train=True)
+        yield op.sent
+        t["sent"] = sim.now - t["t0"]
+
+    def node1():
+        yield from cards[1].configure(design)
+        op = cards[1].post_gather(3, TransferPlan(sim, {0: nbytes}))
+        yield op.done
+        t["done"] = sim.now - t["t0"]
+
+    sim.process(node0())
+    sim.process(node1())
+    sim.run()
+    return t["sent"], t["done"], cards[0]
+
+
+@pytest.mark.parametrize("nbytes", [1024, 4096])
+def test_train_mode_stalls_on_a_core_slower_than_the_bus(nbytes):
+    """Reference: the frame-level card.  When the configured core is
+    slower than the card bus, the train mode's egress claim must wait
+    for the core (``not_before`` on the bus reservation), exactly as the
+    frame-level card's ingest stall does."""
+    ref_sent, ref_done, _ = _slow_core_scatter(False, nbytes)
+    sent, done, card = _slow_core_scatter(True, nbytes)
+    assert card._wire_out.fabric.trains_fast == 1  # the train mode ran
+    rate = card.datapath_rate(card.host_tx.bandwidth)
+    assert rate < card.host_tx.bandwidth  # the core binds
+    assert sent >= nbytes / rate
+    assert (sent, done) == (ref_sent, ref_done)

@@ -7,7 +7,6 @@ from repro.net import (
     ETHERNET_OVERHEAD,
     Frame,
     IP_TCP_HEADERS,
-    Link,
     MIN_FRAME_PAYLOAD,
     MacAddress,
     Wire,
@@ -123,20 +122,6 @@ def test_wire_stats_and_utilization():
     assert wire.frames_sent == 1
     assert wire.bytes_sent == pytest.approx(1000)
     assert wire.utilization(2.0) == pytest.approx(0.5)
-
-
-def test_link_is_full_duplex():
-    sim = Simulator()
-    link = Link(sim, bandwidth=1000.0)
-    ca, cb = Collector(sim), Collector(sim)
-    link.attach_a(ca)
-    link.attach_b(cb)
-    # Simultaneous opposite-direction traffic does not serialize.
-    link.a_to_b.send(Frame(A, B, payload_bytes=962, headers=0))
-    link.b_to_a.send(Frame(B, A, payload_bytes=962, headers=0))
-    sim.run()
-    assert cb.got[0][1] == pytest.approx(1.0)
-    assert ca.got[0][1] == pytest.approx(1.0)
 
 
 def test_wire_invalid_parameters():

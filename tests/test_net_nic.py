@@ -3,7 +3,13 @@
 import pytest
 
 from repro.hw import CPU, CacheLevel, CoalescePolicy, MemoryHierarchy
-from repro.net import Frame, GIGABIT_ETHERNET, MacAddress, StandardNIC, build_star
+from repro.net import (
+    Frame,
+    GIGABIT_ETHERNET,
+    MacAddress,
+    StandardNIC,
+    build_aggregate_star,
+)
 from repro.sim import FairShareBus, Simulator
 
 
@@ -34,7 +40,7 @@ def make_pair(sim, coalesce=CoalescePolicy()):
         nics.append(nic)
         cpus.append(cpu)
         addrs.append(MacAddress(i))
-    build_star(sim, list(zip(addrs, nics)))
+    build_aggregate_star(sim, list(zip(addrs, nics)))
     return nics, cpus, addrs
 
 

@@ -1,17 +1,19 @@
-"""Unit tests for the switch and the star-fabric builder."""
+"""Unit tests for the one-switch star (``build_aggregate_star``)."""
+
+import dataclasses
 
 import pytest
 
-from repro.errors import NetworkError, SwitchError
+from repro.errors import NetworkError
 from repro.net import (
     BROADCAST,
     FAST_ETHERNET,
     Frame,
     GIGABIT_ETHERNET,
+    HierarchicalFabric,
     MacAddress,
-    Switch,
-    Wire,
-    build_star,
+    StarTopology,
+    build_aggregate_star,
 )
 from repro.sim import Simulator
 
@@ -37,7 +39,7 @@ class Station:
 def make_fabric(sim, n=3, tech=GIGABIT_ETHERNET):
     stations = [Station(sim) for _ in range(n)]
     addrs = [MacAddress(i) for i in range(n)]
-    switch = build_star(sim, list(zip(addrs, stations)), tech=tech)
+    switch = build_aggregate_star(sim, list(zip(addrs, stations)), tech=tech)
     return stations, addrs, switch
 
 
@@ -93,19 +95,22 @@ def test_two_senders_one_destination_serialize_on_output_port():
     assert t2 - t1 == pytest.approx(1500 / GIGABIT_ETHERNET.bandwidth, rel=1e-6)
 
 
+#: a slow star (1.5 s per 1500-byte frame) with no forwarding delay, so
+#: simultaneous senders meet at the egress port with a full backlog
+SLOW = dataclasses.replace(
+    GIGABIT_ETHERNET, bandwidth=1000.0, propagation_delay=0.0, switch_latency=0.0
+)
+
+
 def test_switch_drops_when_output_buffer_full():
     sim = Simulator()
-    switch = Switch(sim, n_ports=2, buffer_bytes_per_port=3000, forwarding_latency=0.0)
-    a, b = MacAddress(0), MacAddress(1)
-    dst = Station(sim)
-    down = Wire(sim, bandwidth=1000.0)  # slow drain: 1.5s/frame
-    down.attach(dst)
-    switch.attach_output(1, down)
-    switch.learn(b, 1)
-    for _ in range(5):
-        switch._ingress(Frame(a, b, payload_bytes=1462, headers=0), in_port=0)
+    tech = dataclasses.replace(SLOW, switch_buffer_per_port=3000)
+    stations, addrs, switch = make_fabric(sim, n=6, tech=tech)
+    dst = stations[5]
+    for s in range(5):
+        stations[s].send(Frame(addrs[s], addrs[5], payload_bytes=1462, headers=0))
     sim.run()
-    stats = switch.port_stats(1)
+    stats = switch.port_stats(5)
     assert stats.frames_dropped == 3
     assert stats.frames_forwarded == 2
     assert len(dst.got) == 2
@@ -115,24 +120,20 @@ def test_switch_drop_accounting_with_frame_trains():
     """A dropped train counts every physical frame and its wire bytes in
     ``total_dropped`` / ``total_dropped_bytes``."""
     sim = Simulator()
-    switch = Switch(sim, n_ports=2, buffer_bytes_per_port=5000, forwarding_latency=0.0)
-    a, b = MacAddress(0), MacAddress(1)
-    dst = Station(sim)
-    down = Wire(sim, bandwidth=1000.0)  # slow drain
-    down.attach(dst)
-    switch.attach_output(1, down)
-    switch.learn(b, 1)
+    tech = dataclasses.replace(SLOW, switch_buffer_per_port=5000)
+    stations, addrs, switch = make_fabric(sim, n=5, tech=tech)
     trains = [
-        Frame(a, b, payload_bytes=4386, headers=0, frame_count=3)  # 4500 wire
-        for _ in range(4)
+        # 4500 wire bytes each
+        Frame(addrs[s], addrs[4], payload_bytes=4386, headers=0, frame_count=3)
+        for s in range(4)
     ]
-    for f in trains:
-        switch._ingress(f, in_port=0)
+    for s, f in enumerate(trains):
+        stations[s].send(f)
     sim.run(until=1.0)
     # The 5000-byte budget holds one 4500-byte train; three drop whole.
     assert switch.total_dropped() == 3 * 3
     assert switch.total_dropped_bytes() == pytest.approx(3 * trains[0].wire_size)
-    stats = switch.port_stats(1)
+    stats = switch.port_stats(4)
     assert stats.frames_dropped == 9
     assert stats.bytes_dropped == pytest.approx(3 * trains[0].wire_size)
 
@@ -169,30 +170,31 @@ def test_fast_ethernet_is_ten_times_slower():
 
 def test_unknown_destination_raises():
     sim = Simulator()
-    switch = Switch(sim, n_ports=1, forwarding_latency=0.0)
-    with pytest.raises(SwitchError):
-        switch._ingress(Frame(MacAddress(0), MacAddress(9), payload_bytes=10), 0)
+    stations, addrs, _ = make_fabric(sim, n=1)
+    with pytest.raises(NetworkError, match="no forwarding entry"):
+        stations[0].send(Frame(addrs[0], MacAddress(9), payload_bytes=10))
 
 
 def test_duplicate_addresses_rejected():
     sim = Simulator()
     s1, s2 = Station(sim), Station(sim)
     with pytest.raises(NetworkError):
-        build_star(sim, [(MacAddress(0), s1), (MacAddress(0), s2)])
+        build_aggregate_star(sim, [(MacAddress(0), s1), (MacAddress(0), s2)])
 
 
 def test_empty_fabric_rejected():
     sim = Simulator()
     with pytest.raises(NetworkError):
-        build_star(sim, [])
+        build_aggregate_star(sim, [])
 
 
 def test_switch_invalid_config():
     sim = Simulator()
-    with pytest.raises(SwitchError):
-        Switch(sim, n_ports=0)
-    with pytest.raises(SwitchError):
-        Switch(sim, n_ports=2, buffer_bytes_per_port=0)
-    sw = Switch(sim, n_ports=2)
-    with pytest.raises(SwitchError):
+    with pytest.raises(NetworkError):
+        StarTopology(0)
+    bw = GIGABIT_ETHERNET.bandwidth
+    with pytest.raises(NetworkError):
+        HierarchicalFabric(sim, StarTopology(2), bw, buffer_bytes_per_port=0)
+    sw = HierarchicalFabric(sim, StarTopology(2), bw)
+    with pytest.raises(NetworkError, match="out of range"):
         sw.learn(MacAddress(0), 5)

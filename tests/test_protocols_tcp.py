@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hw import CPU, CacheLevel, CoalescePolicy, MemoryHierarchy
-from repro.net import GIGABIT_ETHERNET, MacAddress, StandardNIC, build_star
+from repro.net import GIGABIT_ETHERNET, MacAddress, StandardNIC, build_aggregate_star
 from repro.protocols import TCPConfig, TCPStack
 from repro.sim import FairShareBus, Simulator
 
@@ -27,7 +27,7 @@ def make_cluster(n=2, coalesce=CoalescePolicy(), tcp_config=TCPConfig()):
         )
         stacks.append(TCPStack(sim, nic, cpu, config=tcp_config, name=f"tcp{i}"))
         nics.append(nic)
-    switch = build_star(sim, [(MacAddress(i), nics[i]) for i in range(n)])
+    switch = build_aggregate_star(sim, [(MacAddress(i), nics[i]) for i in range(n)])
     return sim, stacks, nics, switch
 
 
@@ -214,7 +214,9 @@ def test_loss_triggers_timeout_and_recovery():
         switch_latency=4e-6,
         switch_buffer_per_port=8 * 1024,  # absurdly small: forces drops
     )
-    switch = build_star(sim, [(MacAddress(i), nics[i]) for i in range(2)], tech=tiny_buf)
+    switch = build_aggregate_star(
+        sim, [(MacAddress(i), nics[i]) for i in range(2)], tech=tiny_buf
+    )
     result = {}
 
     def sender():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw import CPU, CacheLevel, MemoryHierarchy
-from repro.net import MacAddress, NetworkTechnology, StandardNIC, build_star
+from repro.net import MacAddress, NetworkTechnology, StandardNIC, build_aggregate_star
 from repro.protocols import TCPConfig, TCPStack
 from repro.sim import FairShareBus, Simulator
 from repro.units import gbps
@@ -23,7 +23,9 @@ def build_pair(tcp_config=TCPConfig(), buffer_bytes=128 * 1024):
         name="t", bandwidth=gbps(1), propagation_delay=1e-6,
         switch_latency=4e-6, switch_buffer_per_port=buffer_bytes,
     )
-    switch = build_star(sim, [(MacAddress(i), nics[i]) for i in range(2)], tech=tech)
+    switch = build_aggregate_star(
+        sim, [(MacAddress(i), nics[i]) for i in range(2)], tech=tech
+    )
     return sim, stacks, nics, switch
 
 
@@ -99,7 +101,9 @@ def _build_incast(n, cfg, buffer_bytes):
         name="t", bandwidth=gbps(1), propagation_delay=1e-6,
         switch_latency=4e-6, switch_buffer_per_port=buffer_bytes,
     )
-    switch = build_star(sim, [(MacAddress(i), nics[i]) for i in range(n)], tech=tech)
+    switch = build_aggregate_star(
+        sim, [(MacAddress(i), nics[i]) for i in range(n)], tech=tech
+    )
     return sim, stacks, switch
 
 

@@ -124,7 +124,7 @@ def test_instrument_cluster_naming_scheme():
         "node1.cpu.busy_time",
         "switch.forwarded",
         "switch.port0.frames",
-        "switch.port0.wire.busy_time",
+        "switch.port0.busy_time",
     ):
         assert expected in names, expected
 

@@ -3,9 +3,9 @@
 Pins the three contracts ``repro.net.topology`` makes:
 
 * **Low-load star equivalence** — an uncontended frame arrives at the
-  identical simulated time on the full wire star, the one-switch
-  busy-until star, the fat-tree, and the torus (the
-  scattered-traffic contract at n=64 is
+  star's closed-form time (``tests/star_oracle.py``) on the one-switch
+  busy-until star, the fat-tree, and the torus (the scattered-traffic
+  contract at n=64 is
   ``tests/test_identities.py::test_low_load_arrivals_match_wire_star``).
 * **Routing geometry** — deterministic spine selection, dimension-
   ordered torus routing with shortest-wrap at the boundaries.
@@ -23,7 +23,6 @@ from repro.net import (
     GIGABIT_ETHERNET,
     MacAddress,
     build_aggregate_star,
-    build_star,
 )
 from repro.net.topology import (
     FatTreeTopology,
@@ -33,8 +32,9 @@ from repro.net.topology import (
     torus_dims,
 )
 from repro.sim import Simulator
+from tests.star_oracle import lone_frame_arrival
 
-ALL_BUILDERS = [build_star, build_aggregate_star, build_fattree, build_torus]
+ALL_BUILDERS = [build_aggregate_star, build_fattree, build_torus]
 HIER_BUILDERS = [build_fattree, build_torus]
 
 
@@ -66,14 +66,14 @@ def make_fabric(builder, n=8, **opts):
 
 @pytest.mark.parametrize("builder", HIER_BUILDERS)
 def test_uncontended_unicast_matches_wire_star(builder):
-    arrivals = {}
-    for b in (build_star, builder):
-        sim, stations, addrs, _ = make_fabric(b, n=8)
-        stations[0].send(Frame(addrs[0], addrs[7], payload_bytes=1500, headers=40))
-        sim.run()
-        assert len(stations[7].got) == 1
-        arrivals[b.__name__] = stations[7].got[0][1]
-    assert arrivals[builder.__name__] == arrivals["build_star"]
+    """Reference: the star's closed form
+    (:func:`tests.star_oracle.lone_frame_arrival`)."""
+    sim, stations, addrs, _ = make_fabric(builder, n=8)
+    frame = Frame(addrs[0], addrs[7], payload_bytes=1500, headers=40)
+    stations[0].send(frame)
+    sim.run()
+    assert len(stations[7].got) == 1
+    assert stations[7].got[0][1] == lone_frame_arrival(0.0, frame.wire_size)
 
 
 # -- routing geometry --------------------------------------------------------
@@ -219,7 +219,7 @@ def test_bad_topology_parameters():
 @pytest.mark.parametrize("builder", ALL_BUILDERS)
 def test_zero_byte_frames_deliver_everywhere(builder):
     """A zero-payload frame still pads to the Ethernet minimum and
-    arrives at the same time on every fidelity level."""
+    arrives on every fabric kind."""
     sim, stations, addrs, _ = make_fabric(builder, n=4)
     stations[0].send(Frame(addrs[0], addrs[3], payload_bytes=0, headers=8))
     sim.run()
@@ -234,10 +234,11 @@ def test_zero_byte_frame_times_agree_across_kinds():
     times = set()
     for builder in ALL_BUILDERS:
         sim, stations, addrs, _ = make_fabric(builder, n=4)
-        stations[0].send(Frame(addrs[0], addrs[3], payload_bytes=0, headers=8))
+        frame = Frame(addrs[0], addrs[3], payload_bytes=0, headers=8)
+        stations[0].send(frame)
         sim.run()
         times.add(stations[3].got[0][1])
-    assert len(times) == 1
+    assert times == {lone_frame_arrival(0.0, frame.wire_size)}
 
 
 @pytest.mark.parametrize("builder", HIER_BUILDERS)
@@ -377,8 +378,18 @@ def test_cluster_spec_fabric_options_roundtrip():
         ClusterSpec(n_nodes=2, fabric="mesh")
     with pytest.raises(ValueError, match="choose from"):
         ClusterSpec(n_nodes=2, fabric="mesh")
+    # "wire" is not a fabric kind: it fails like any other unknown name
+    with pytest.raises(
+        ValueError,
+        match=r"unknown fabric 'wire' .*\(choose from aggregate, fattree, torus\)",
+    ):
+        ClusterSpec(n_nodes=2, fabric="wire")
+    assert FABRIC_KINDS == ("aggregate", "fattree", "torus")
+    assert ClusterSpec(n_nodes=2).fabric == "aggregate"
     with pytest.raises(ValueError, match="only valid for hierarchical"):
-        ClusterSpec(n_nodes=2, fabric="wire", fabric_options=(("oversub", 2),))
+        ClusterSpec(
+            n_nodes=2, fabric="aggregate", fabric_options=(("oversub", 2),)
+        )
     # an option the fabric's builder does not take fails at spec time,
     # naming the option, the fabric and the builder's own option names
     with pytest.raises(
@@ -404,6 +415,8 @@ def test_experiment_facade_builds_hierarchical_cluster():
     assert session.cluster.switch.topology.oversub == 2
     session = Experiment().nodes(8).fabric("torus", dims=(2, 2, 2)).build()
     assert session.cluster.switch.topology.dims == (2, 2, 2)
+    with pytest.raises(ValueError, match="choose from aggregate, fattree, torus"):
+        Experiment().nodes(2).fabric("wire").build()
 
 
 def test_scale_by_name_error_names_choices():
